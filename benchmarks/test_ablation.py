@@ -127,8 +127,8 @@ def test_output_order_ablation(benchmark, state_graphs, order):
     graph = state_graphs(MEDIUM)
     explicit = sorted(graph.non_inputs) if order == "alphabetical" else None
     result = run_once(
-        benchmark, modular_synthesis, graph, minimize=False,
-        output_order=explicit,
+        benchmark, modular_synthesis, graph,
+        options=SynthesisOptions(minimize=False, output_order=explicit),
     )
     benchmark.extra_info.update(
         {"order": order, "final_signals": result.final_signals}

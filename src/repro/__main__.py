@@ -30,15 +30,9 @@ Options:
 ``--max-states N``                    cap on generated state-graph states
 ``--no-fallback``                     disable engine escalation and
                                       per-module degradation
-``--jobs N``                          parallel module-solve workers
-                                      (modular method; default 1)
 ``--cache-dir PATH``                  persistent result cache directory
 ``--no-cache``                        ignore ``--cache-dir``
 ``--cache-max-bytes N``               LRU size bound on the result cache
-``--retries N``                       supervised retry budget per module
-                                      (worker death/overrun; default 2)
-``--retry-backoff SECONDS``           base backoff before the first
-                                      retry round (default 0.05)
 ``--blif PATH``                       write the circuit netlist
 ``--verify-level csc|conformance|hazards``
                                       verification depth: static CSC
@@ -137,10 +131,6 @@ def main(argv=None):
         help="disable the engine-fallback ladder and module degradation",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for per-module solves (modular method)",
-    )
-    parser.add_argument(
         "--cache-dir", metavar="PATH", default=None,
         help="persistent result cache directory (reused across runs)",
     )
@@ -152,16 +142,6 @@ def main(argv=None):
         "--cache-max-bytes", type=int, default=None, metavar="N",
         help="evict least-recently-used result-cache records past N "
              "total bytes (default: unbounded)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="resubmissions of a module whose worker died or overran "
-             "before it is re-solved serially (modular --jobs > 1)",
-    )
-    parser.add_argument(
-        "--retry-backoff", type=float, default=0.05, metavar="SECONDS",
-        help="base delay before the first retry round; later rounds "
-             "double it (deterministic jitter)",
     )
     parser.add_argument("--blif", metavar="PATH", default=None)
     parser.add_argument(
@@ -248,10 +228,7 @@ def _run(args, stg, tracer):
     options = SynthesisOptions(
         engine=args.engine, sat_mode=args.sat_mode, budget=budget,
         fallback=not args.no_fallback, degrade=not args.no_fallback,
-        jobs=max(1, args.jobs), cache_dir=cache_dir,
-        cache_max_bytes=args.cache_max_bytes,
-        retries=max(0, args.retries),
-        retry_backoff=max(0.0, args.retry_backoff),
+        cache_dir=cache_dir, cache_max_bytes=args.cache_max_bytes,
         verify_level="csc" if args.no_verify else args.verify_level,
     )
     report = run_synthesis(stg, method=args.method, options=options)
@@ -352,7 +329,7 @@ def _serve_main(argv):
     parser.add_argument(
         "--cache-dir", metavar="PATH", default=None,
         help="shared result-cache directory: whole responses replay "
-             "from it and workers reuse its module/artifact records",
+             "from it and workers reuse its artifact records",
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",

@@ -48,9 +48,9 @@ class SynthesisRequest:
 
     Only knobs with JSON-scalar values appear here -- the run-wide
     budget is the scalar ``timeout_seconds``, not a ``Budget`` object;
-    scheduling-only knobs the caller does not own (``cache_dir``,
-    ``jobs``) belong to the server, not the request, so two clients
-    asking for the same circuit dedupe to the same fingerprint.
+    scheduling-only knobs the caller does not own (``cache_dir``, the
+    service pool width) belong to the server, not the request, so two
+    clients asking for the same circuit dedupe to the same fingerprint.
     """
 
     g_text: str
@@ -97,7 +97,7 @@ class SynthesisRequest:
         """The :class:`~repro.runtime.options.SynthesisOptions` this
         request asks for.
 
-        ``server_knobs`` (``jobs``, ``cache_dir``, ...) are the
+        ``server_knobs`` (``cache_dir``, ...) are the
         deployment-owned fields merged in by the executing side; a
         ``timeout_seconds`` becomes a fresh :class:`Budget`.
         """
@@ -120,7 +120,7 @@ class SynthesisRequest:
 
         Two requests whose ``.g`` documents canonicalise identically
         and whose synthesis-relevant knobs match share a fingerprint --
-        the same normalisation the module/artifact cache keys use, so
+        the same normalisation the artifact cache keys use, so
         formatting differences in the upload never split the cache.
         """
         import hashlib

@@ -131,20 +131,19 @@ def _attempt_stats(attempts):
 
 
 def run_modular(name, minimize=True, graph=None, engine="hybrid",
-                budget=None, fallback=False, cache_dir=None, jobs=1,
+                budget=None, fallback=False, cache_dir=None,
                 sat_mode="incremental"):
     """Run the paper's method on one benchmark.
 
     ``cache_dir`` wires the persistent
     :class:`~repro.perf.ResultCache` in, so repeated Table-1 runs are
-    warm; ``jobs`` dispatches per-module solves to worker processes
-    (both default off, matching the historical serial cold run).
+    warm (default off, matching the historical cold run).
     """
     stg, graph = _base_counts(name, graph)
     result = modular_synthesis(graph, options=SynthesisOptions(
         minimize=minimize, engine=engine, budget=budget,
         fallback=fallback, degrade=fallback,
-        cache_dir=cache_dir, jobs=jobs, sat_mode=sat_mode,
+        cache_dir=cache_dir, sat_mode=sat_mode,
     ))
     attempts = [
         attempt for module in result.modules for attempt in module.attempts

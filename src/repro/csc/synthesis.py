@@ -199,9 +199,8 @@ def modular_synthesis(stg, options=None):
     budget = opts.budget
     fallback = opts.fallback
     degrade = opts.degrade
-    jobs = opts.jobs or 1
 
-    rcache = artifact_key = base_fp = opts_fp = None
+    rcache = artifact_key = None
     if opts.cache_dir is not None:
         from repro.perf.result_cache import (
             ResultCache,
@@ -237,18 +236,7 @@ def modular_synthesis(stg, options=None):
     if unknown:
         raise ValueError(f"not non-input signals: {sorted(unknown)}")
 
-    prepared, basis, module_keys, sup_stats = _prepare_modules(
-        graph, outputs, prescan, cache, rcache, base_fp, opts_fp,
-        limits=limits, max_signals=max_signals,
-        signal_prefix=signal_prefix, engine=engine, budget=budget,
-        fallback=fallback, jobs=jobs, sat_mode=sat_mode,
-        retries=opts.retries, retry_backoff=opts.retry_backoff,
-    )
-
     report = RunReport(method="modular", engine=engine)
-    if sup_stats is not None:
-        report.worker_deaths = sup_stats.worker_deaths
-        report.pool_respawns = sup_stats.pool_respawns
     assignment = Assignment.empty(graph.num_states)
     modules = []
     try:
@@ -262,10 +250,6 @@ def modular_synthesis(stg, options=None):
                 sat_mode=sat_mode,
                 budget=budget, fallback=fallback, degrade=degrade,
                 cache=cache, prescan=prescan,
-                prepared=prepared, basis=basis, rcache=rcache,
-                rkey=module_keys.get(output),
-                cacheable=rcache is not None and _cache_safe(budget),
-                recovery=sup_stats,
             )
 
         with obs.span("repair"):
@@ -315,74 +299,6 @@ def modular_synthesis(stg, options=None):
     return result
 
 
-def _prepare_modules(graph, outputs, prescan, cache, rcache, base_fp,
-                     opts_fp, *, limits, max_signals, signal_prefix,
-                     engine, budget, fallback, jobs,
-                     sat_mode="incremental", retries=2,
-                     retry_backoff=0.05):
-    """Pre-solve modules from the result cache and/or a worker pool.
-
-    Returns ``(prepared, basis, module_keys, sup_stats)``:
-
-    * ``prepared`` -- ``{output: entry}`` in the
-      :mod:`repro.csc.parallel` entry format, empty for the plain
-      serial path (``jobs == 1``, no cache);
-    * ``basis`` -- per-output input sets derived against the empty
-      assignment (the adoption test of the merge loop compares against
-      these), or ``None`` on the plain serial path;
-    * ``module_keys`` -- per-output result-cache keys, for storing
-      serial solves on the way out;
-    * ``sup_stats`` -- the dispatch's
-      :class:`~repro.runtime.supervise.SuperviseStats` (``None`` when no
-      pool ran), for the run report's recovery bookkeeping.
-
-    Cache lookups come first, then the ``module-solve`` fault check and
-    worker dispatch for the remainder -- all in the fixed output order,
-    so fault shots and cache counters land deterministically.
-    """
-    if jobs <= 1 and rcache is None:
-        return {}, None, {}, None
-    from repro.csc.parallel import PREPARED_PARTITION, prepare_parallel
-    from repro.perf.result_cache import ResultCache
-    from repro.runtime.supervise import RetryPolicy
-
-    empty = Assignment.empty(graph.num_states)
-    basis = dict(prescan)
-    for output in outputs:
-        if output not in basis:
-            basis[output] = determine_input_set(
-                graph, output, empty, cache=cache
-            )
-
-    prepared = {}
-    module_keys = {}
-    to_solve = list(outputs)
-    if rcache is not None:
-        remaining = []
-        for output in to_solve:
-            key = ResultCache.key(base_fp, opts_fp, "module", output)
-            module_keys[output] = key
-            payload = rcache.get("module", key)
-            if payload is not None:
-                payload.quotient.base = graph
-                prepared[output] = (PREPARED_PARTITION, payload)
-            else:
-                remaining.append(output)
-        to_solve = remaining
-
-    sup_stats = None
-    if jobs > 1 and to_solve:
-        dispatched, sup_stats = prepare_parallel(
-            graph, to_solve, basis, limits=limits,
-            max_signals=max_signals, signal_prefix=signal_prefix,
-            engine=engine, budget=budget, fallback=fallback, jobs=jobs,
-            sat_mode=sat_mode,
-            policy=RetryPolicy(retries=retries, backoff=retry_backoff),
-        )
-        prepared.update(dispatched)
-    return prepared, basis, module_keys, sup_stats
-
-
 def _cache_safe(budget):
     """May this run's results enter the persistent cache?
 
@@ -398,56 +314,10 @@ def _cache_safe(budget):
     )
 
 
-def _reusable(input_set, basis_entry, assignment):
-    """May an empty-assignment solve stand in for this module's solve?
-
-    Trivially yes before any state signal exists.  Afterwards, the solve
-    only depends on the accumulated assignment through (a) the hidden
-    signal list and (b) the kept state signals' merged codes -- so a
-    module whose recomputed input set hides the same signals and keeps
-    *no* earlier state signal is still the pure function of the input
-    the worker (or cache record) computed.  Anything else is
-    sequentially dependent and must be re-solved in place.
-    """
-    if assignment.num_signals == 0:
-        return True
-    if basis_entry is None:
-        return False
-    return (
-        not input_set.kept_state_signals
-        and list(input_set.removal_order) == list(basis_entry.removal_order)
-    )
-
-
-def _detached_for_cache(partition, signal_prefix):
-    """A base-named, Σ-detached copy of a partition for the cache.
-
-    Cache records are stored in the worker normal form -- state signals
-    numbered from zero, quotient detached from the base graph -- so one
-    record serves any run position the merge loop later adopts it at.
-    """
-    from repro.csc.modular import PartitionResult
-    from repro.stategraph.quotient import QuotientGraph
-
-    q = partition.quotient
-    macro = partition.macro_assignment
-    names = [f"{signal_prefix}{k}" for k in range(macro.num_signals)]
-    copy = PartitionResult(
-        partition.output,
-        QuotientGraph(None, q.graph, q.cover, q.blocks, q.hidden),
-        Assignment(names, macro.values),
-        partition.outcome,
-    )
-    copy.fallback_unhidden = list(partition.fallback_unhidden)
-    copy.fallback_error = None
-    return copy
-
-
 def _solve_module(graph, output, assignment, modules, report, *,
                   limits, max_signals, signal_prefix, engine, budget,
                   fallback, degrade, cache=None, prescan=None,
-                  prepared=None, basis=None, rcache=None, rkey=None,
-                  cacheable=False, sat_mode="incremental", recovery=None):
+                  sat_mode="incremental"):
     """One output's modular pass, degrading per policy on failure.
 
     Returns the extended assignment and appends to ``modules`` /
@@ -456,37 +326,9 @@ def _solve_module(graph, output, assignment, modules, report, *,
     empty assignment by ``_default_output_order``) is reused verbatim as
     long as no state signal has been inserted yet -- the derivation is a
     pure function of (graph, output, assignment), and the pre-scan
-    already ran it.
-
-    A ``prepared`` entry (worker pool or result cache, see
-    :func:`_prepare_modules`) is adopted -- renamed to the names this
-    point of the serial run would use -- when :func:`_reusable` holds;
-    a sequentially-dependent module falls through to the normal serial
-    solve.  Worker errors enter the same ``degrade`` path a serial
-    solve failure would, and worker budget exhaustion re-raises here.
-
-    A ``PREPARED_RESCUE`` entry (the supervised dispatch ran out of
-    retries for this module's worker) is the *serial rescue*: the
-    module falls through to the normal serial solve right here, which
-    is bit-identical to what the serial loop would have produced --
-    infrastructure failures never reach the ``degrade`` path.
-
-    ``recovery`` is the dispatch's
-    :class:`~repro.runtime.supervise.SuperviseStats`; its per-output
-    retry/respawn tallies ride into this module's report entry.
+    already ran it.  Once an earlier module has inserted state signals,
+    the input set is derived afresh, so those signals can enter it.
     """
-    from repro.csc.parallel import (
-        PREPARED_BUDGET,
-        PREPARED_ERROR,
-        PREPARED_PARTITION,
-        PREPARED_RESCUE,
-        rename_partition,
-    )
-
-    retries = recovery.retries.get(output, 0) if recovery else 0
-    respawns = recovery.respawns.get(output, 0) if recovery else 0
-    rescued = False
-
     with obs.span("module", output=output) as module_span:
         with obs.span("input_set", output=output) as input_span:
             input_set = None
@@ -500,56 +342,18 @@ def _solve_module(graph, output, assignment, modules, report, *,
                     graph, output, assignment, cache=cache
                 )
 
-        partition = None
         cause = None
-        entry = prepared.get(output) if prepared else None
-        if entry is not None:
-            tag = entry[0]
-            if tag == PREPARED_BUDGET:
-                _, message, resource, point = entry
-                raise BudgetExhaustedError(
-                    message, resource=resource, point=point
-                )
-            if tag == PREPARED_ERROR:
-                cause = entry[1]
-            elif tag == PREPARED_RESCUE:
-                # The supervised pool exhausted this module's retries;
-                # re-solve it serially in the parent instead of letting
-                # an infrastructure failure degrade the circuit.
-                rescued = True
-                obs.add("serial_rescues")
-                module_span.set("rescued", True)
-            elif tag == PREPARED_PARTITION:
-                if _reusable(input_set, basis.get(output), assignment):
-                    partition = rename_partition(
-                        entry[1], signal_prefix, assignment.num_signals
-                    )
-                    obs.add("parallel_adopted")
-                    module_span.set("adopted", True)
-                else:
-                    obs.add("parallel_dependent")
-                    module_span.set("dependent", True)
-
-        if partition is None and cause is None:
-            try:
-                partition = partition_sat(
-                    graph, output, input_set, assignment, limits=limits,
-                    max_signals=max_signals,
-                    name_start=assignment.num_signals,
-                    signal_prefix=signal_prefix, engine=engine,
-                    budget=budget, fallback=fallback, cache=cache,
-                    sat_mode=sat_mode,
-                )
-            except CscError as exc:
-                cause = exc
-            else:
-                if (cacheable and rkey is not None
-                        and _reusable(input_set, basis.get(output),
-                                      assignment)):
-                    rcache.put(
-                        "module", rkey,
-                        _detached_for_cache(partition, signal_prefix),
-                    )
+        try:
+            partition = partition_sat(
+                graph, output, input_set, assignment, limits=limits,
+                max_signals=max_signals,
+                name_start=assignment.num_signals,
+                signal_prefix=signal_prefix, engine=engine,
+                budget=budget, fallback=fallback, cache=cache,
+                sat_mode=sat_mode,
+            )
+        except CscError as exc:
+            cause = exc
 
         if cause is not None:
             if not degrade:
@@ -559,7 +363,6 @@ def _solve_module(graph, output, assignment, modules, report, *,
                 limits=limits, max_signals=max_signals,
                 signal_prefix=signal_prefix, engine=engine, budget=budget,
                 fallback=fallback, sat_mode=sat_mode,
-                retries=retries, respawns=respawns,
             )
             module_span.set("status", report.modules[-1].status)
             return assignment
@@ -571,8 +374,7 @@ def _solve_module(graph, output, assignment, modules, report, *,
         modules.append(ModuleReport(output, input_set, partition))
         report.add_module(
             output, MODULE_OK, signals_added=partition.signals_added,
-            escalations=escalations, retries=retries, respawns=respawns,
-            rescued=rescued,
+            escalations=escalations,
         )
         module_span.set("status", MODULE_OK)
         module_span.add("signals_added", partition.signals_added)
@@ -581,8 +383,7 @@ def _solve_module(graph, output, assignment, modules, report, *,
 
 def _degrade_module(graph, output, assignment, report, cause, *,
                     limits, max_signals, signal_prefix, engine, budget,
-                    fallback, sat_mode="incremental", retries=0,
-                    respawns=0):
+                    fallback, sat_mode="incremental"):
     """Per-output direct sub-solve on the full graph (degraded mode).
 
     The modular pass failed for this output; instead of aborting the
@@ -610,7 +411,6 @@ def _degrade_module(graph, output, assignment, report, cause, *,
         report.add_module(
             output, MODULE_SKIPPED,
             detail=f"{cause}; direct sub-solve failed: {exc}",
-            retries=retries, respawns=respawns,
         )
         return assignment
     names = [
@@ -623,7 +423,6 @@ def _degrade_module(graph, output, assignment, report, cause, *,
     report.add_module(
         output, MODULE_DEGRADED, detail=str(cause),
         signals_added=outcome.m, escalations=escalations,
-        retries=retries, respawns=respawns,
     )
     return assignment.extended(names, outcome.rows)
 

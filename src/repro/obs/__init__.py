@@ -37,7 +37,6 @@ from repro.obs.analyze import (
     SpanNode,
     build_forest,
     critical_path,
-    dispatch_summary,
     format_attribution,
     format_critical_path,
     format_tree,
@@ -126,7 +125,6 @@ __all__ = [
     "chrome_trace",
     "counter_totals",
     "critical_path",
-    "dispatch_summary",
     "enabled",
     "event",
     "folded_stacks",

@@ -3,8 +3,9 @@
 The journal (and the live tracer's retained event list) is a flat
 stream of span ``start``/``end`` records.  This module folds that
 stream into a **forest of span trees** -- one tree list per journal
-*segment* (a serial run has one segment; ``--jobs N`` runs concatenate
-one per worker) -- and answers the questions raw profiles cannot:
+*segment* (a single run has one segment; ``repro.bench.table1 --jobs N``
+concatenates one per worker) -- and answers the questions raw profiles
+cannot:
 
 * **Self time vs child time.**  A span's profile total includes its
   children; a ``module`` span's 0.4 s may be 0.39 s of ``sat_attempt``.
@@ -15,10 +16,7 @@ one per worker) -- and answers the questions raw profiles cannot:
   clock and counters by output, so "where did mmu0's 1.3 s go?" is one
   table, not a journal read.
 * **Critical path.**  :func:`critical_path` walks the heaviest chain
-  root -> leaf; :func:`dispatch_summary` sizes the parallel dispatch
-  (the parent's ``module_parallel``/merge wall clock against the
-  longest worker segment's busy time), which is the lower bound on what
-  ``jobs=N`` can achieve.
+  root -> leaf.
 
 Everything here consumes plain event dicts, so it works identically on
 a journal file (``tools/analyze_trace.py``), on a gzipped journal, and
@@ -29,9 +27,6 @@ from __future__ import annotations
 
 from repro.obs.metrics import Counters
 from repro.obs.journal import split_segments
-
-#: Span names that mark a parallel dispatch region (parent side).
-PARALLEL_SPANS = ("module_parallel",)
 
 
 class SpanNode:
@@ -262,59 +257,6 @@ def critical_path(roots):
         node = max(node.children, key=lambda n: n.duration)
         path.append(node)
     return path
-
-
-def dispatch_summary(roots):
-    """Size the parallel dispatch: parent wall vs longest worker chain.
-
-    Returns a dict:
-
-    ``parallel_seconds``
-        Total wall clock of the parent's ``module_parallel`` span(s)
-        (``None`` when the trace has no parallel dispatch).
-    ``worker_segments``
-        Number of journal segments beyond the first (the workers').
-    ``worker_busy_seconds``
-        Per worker segment, the sum of its root span durations (the
-        worker's busy time).
-    ``longest_worker_seconds``
-        The critical worker: ``max(worker_busy_seconds)`` (0.0 when
-        serial).
-    ``merge_seconds``
-        Parent dispatch time not covered by the critical worker --
-        result pickling, merging, supervision.  ``None`` without a
-        ``module_parallel`` span.
-
-    The dispatch cannot beat ``longest_worker_seconds``; when
-    ``merge_seconds`` rivals it, the overhead -- not the solves -- is
-    the bottleneck (exactly the 1-core regression
-    ``BENCH_parallel_modular.json`` records).
-    """
-    parallel = [
-        node for node in walk_forest(roots) if node.name in PARALLEL_SPANS
-    ]
-    segments = {}
-    for root in roots:
-        segments.setdefault(root.segment, []).append(root)
-    worker_busy = [
-        sum(node.duration for node in segment_roots)
-        for index, segment_roots in sorted(segments.items())
-        if index > 0
-    ]
-    longest = max(worker_busy, default=0.0)
-    parallel_seconds = (
-        sum(node.duration for node in parallel) if parallel else None
-    )
-    merge = None
-    if parallel_seconds is not None:
-        merge = max(0.0, parallel_seconds - longest)
-    return {
-        "parallel_seconds": parallel_seconds,
-        "worker_segments": len(worker_busy),
-        "worker_busy_seconds": [round(s, 6) for s in worker_busy],
-        "longest_worker_seconds": round(longest, 6),
-        "merge_seconds": None if merge is None else round(merge, 6),
-    }
 
 
 # -- rendering -------------------------------------------------------------

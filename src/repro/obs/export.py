@@ -9,8 +9,8 @@ One journal, three ecosystems:
   the flame rectangles are wall clock, not call counts.
 * :func:`chrome_trace` -- the Chrome trace-event JSON object format
   (loadable in Perfetto / ``chrome://tracing``).  Journal segments map
-  to threads of one process, so a ``--jobs N`` run renders as N worker
-  lanes under the parent lane.
+  to threads of one process, so a ``repro.bench.table1 --jobs N``
+  journal renders as one lane per worker.
 * :func:`prometheus_text` -- the Prometheus text exposition format
   (version 0.0.4) over the whole metric registry: counters (rendered
   with the conventional ``_total`` suffix), histograms (cumulative

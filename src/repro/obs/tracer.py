@@ -144,8 +144,7 @@ class Tracer:
         Retain every emitted journal record in memory (``self.events``)
         so post-hoc analytics (:mod:`repro.obs.analyze`, the CLI's
         ``--metrics-tree``) can rebuild the span tree without a journal
-        file.  Worker segments folded in by :meth:`absorb` are parsed
-        and appended too.
+        file.
     memory:
         Record ``tracemalloc`` peak-allocation gauges per *top-level*
         span (``peak_memory_bytes{span=...}``).  Starts tracemalloc if
@@ -167,11 +166,8 @@ class Tracer:
         self.histograms = {}
         #: ``{gauge_key: Gauge}`` filled by :meth:`gauge`.
         self.gauges = {}
-        # Retained journal records (only when ``keep_events``); absorbed
-        # worker events are buffered apart so the :attr:`events` view
-        # always reads as own-segment-first, like the journal file.
-        self._events = [] if keep_events else None
-        self._absorbed_events = []
+        #: Retained journal records (only when ``keep_events``).
+        self.events = [] if keep_events else None
         self.memory = bool(memory)
         self._mem_started_here = False
         if self.memory:
@@ -180,9 +176,6 @@ class Tracer:
             if not tracemalloc.is_tracing():
                 tracemalloc.start()
                 self._mem_started_here = True
-        #: Worker journal segments queued by :meth:`absorb`, appended to
-        #: the sink after this tracer's own (self-contained) segment.
-        self._segments = []
         self._sink = None
         self._owns_sink = False
         if journal is not None:
@@ -193,7 +186,7 @@ class Tracer:
 
                 self._sink = journal_open(journal, "w")
                 self._owns_sink = True
-        if self._sink is not None or self._events is not None:
+        if self._sink is not None or self.events is not None:
             self._emit({
                 "ev": "trace",
                 "version": JOURNAL_VERSION,
@@ -321,88 +314,6 @@ class Tracer:
         """JSON-ready profile snapshot (for ``BENCH_*.json``)."""
         return stats_as_dict(self.stats)
 
-    def metrics_dict(self):
-        """JSON/pickle-ready histogram + gauge snapshot.
-
-        The shape workers ship across the process boundary for
-        :meth:`absorb`; empty registries collapse to an empty dict so
-        payloads stay small.
-        """
-        snapshot = {}
-        if self.histograms:
-            snapshot["histograms"] = {
-                name: self.histograms[name].as_dict()
-                for name in sorted(self.histograms)
-            }
-        if self.gauges:
-            snapshot["gauges"] = {
-                key: {"name": self.gauges[key].name,
-                      **self.gauges[key].as_dict()}
-                for key in sorted(self.gauges)
-            }
-        return snapshot
-
-    def absorb(self, stats=None, journal=None, metrics=None):
-        """Fold a worker process's trace into this tracer.
-
-        ``stats`` is the worker's :meth:`stats_dict` snapshot, merged
-        name-wise into this profile (the bench runner's
-        :func:`~repro.obs.profile.merge_stats` semantics).  ``journal``
-        is the worker's complete JSONL journal text; it is queued and
-        appended to the sink by :meth:`close`, *after* this tracer's own
-        events, so the file stays a valid concatenation of
-        self-contained segments (see :mod:`repro.obs.journal`).
-        ``metrics`` is the worker's :meth:`metrics_dict` snapshot:
-        histograms merge bucket-for-bucket, gauges by their declared
-        mode (peaks take the max).
-        """
-        for name, data in (stats or {}).items():
-            entry = SpanStats.from_dict(name, data)
-            existing = self.stats.get(name)
-            if existing is None:
-                self.stats[name] = entry
-            else:
-                existing.merge(entry)
-        if metrics:
-            for name, data in (metrics.get("histograms") or {}).items():
-                incoming = Histogram.from_dict(name, data)
-                existing = self.histograms.get(name)
-                if existing is None:
-                    self.histograms[name] = incoming
-                else:
-                    existing.merge(incoming)
-            for key, data in (metrics.get("gauges") or {}).items():
-                incoming = Gauge.from_dict(data.get("name", key), data)
-                existing = self.gauges.get(key)
-                if existing is None:
-                    self.gauges[key] = incoming
-                else:
-                    existing.merge(incoming)
-        if journal:
-            self._segments.append(journal)
-            if self._events is not None:
-                import json as _json
-
-                for line in journal.splitlines():
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        self._absorbed_events.append(_json.loads(line))
-                    except ValueError:
-                        pass  # analytics tolerate a torn worker line
-
-    @property
-    def events(self):
-        """Retained records, own segment first then absorbed worker
-        segments -- the same ordering :meth:`close` writes to the sink,
-        so :func:`~repro.obs.analyze.build_forest` sees identical
-        segment boundaries live and post-hoc.  ``None`` unless the
-        tracer was built with ``keep_events``."""
-        if self._events is None:
-            return None
-        return self._events + self._absorbed_events
-
     def close(self):
         """Close any spans left open (crash path), then the journal."""
         while self._stack:
@@ -413,11 +324,6 @@ class Tracer:
             tracemalloc.stop()
             self._mem_started_here = False
         if self._sink is not None:
-            for segment in self._segments:
-                self._sink.write(segment)
-                if not segment.endswith("\n"):
-                    self._sink.write("\n")
-            self._segments = []
             self._sink.flush()
             if self._owns_sink:
                 self._sink.close()
@@ -429,8 +335,8 @@ class Tracer:
         return round(self._clock() - self.started, 6)
 
     def _emit(self, record):
-        if self._events is not None:
-            self._events.append(record)
+        if self.events is not None:
+            self.events.append(record)
         if self._sink is not None:
             self._sink.write(
                 json.dumps(record, separators=(",", ":"), default=str)

@@ -9,31 +9,30 @@ path or mtime: the key of every record is a SHA-256 over
   :class:`~repro.stategraph.graph.StateGraph`;
 * an **options fingerprint** -- every
   :class:`~repro.runtime.options.SynthesisOptions` field that can change
-  the result (``budget``, ``jobs``, ``cache_dir``, ``cache_max_bytes``,
-  ``retries`` and ``retry_backoff`` are deliberately excluded: they
-  change *how fast* a result is produced, never *what* is produced --
-  that is the determinism contract of ``docs/parallelism.md``);
+  the result (``budget``, ``cache_dir``, ``cache_max_bytes`` and
+  ``verify_level`` are deliberately excluded: they change how a result
+  is produced or checked, never *what* is produced -- the determinism
+  contract of ``docs/parallelism.md``);
 * a **code version salt** (:data:`CACHE_SALT`), bumped whenever solver
   or propagation logic changes meaning, so stale caches self-invalidate
   instead of replaying results of old code.
 
 Two record kinds share one store:
 
-``module``
-    One output's :class:`~repro.csc.modular.PartitionResult`, solved
-    against the *empty* assignment (the only assignment state that is a
-    pure function of the input).  Keyed additionally by the output name.
 ``artifact``
-    A whole :class:`~repro.csc.synthesis.ModularResult` (minus the
-    state graphs, which are reattached on load), keyed by method name.
-    A warm hit skips the entire run and reproduces byte-identical CLI
-    output, including the recorded wall-clock time of the original run.
+    A whole :class:`~repro.csc.synthesis.ModularResult`, keyed by
+    method name.  A warm hit skips the entire run and reproduces
+    byte-identical CLI output, including the recorded wall-clock time
+    of the original run.
+``response``
+    A complete serialized service response, keyed by the request
+    fingerprint (:mod:`repro.service`).
 
 Concurrency contract
 --------------------
-The store is safe for **concurrent multi-process** use -- parallel
-synthesis workers, bench shards and overlapping CLI runs may share one
-cache directory (``docs/robustness.md``):
+The store is safe for **concurrent multi-process** use -- service
+workers, bench shards and overlapping CLI runs may share one cache
+directory (``docs/robustness.md``):
 
 * Records live in a sharded two-level layout
   (``<root>/<kind>/ab/abcdef....rec``) so no single directory grows
@@ -96,9 +95,8 @@ CACHE_SALT = "repro-result-cache/2"
 RECORD_SUFFIX = ".rec"
 
 #: SynthesisOptions fields that parameterise *what* is computed.  The
-#: excluded fields (``budget``, ``jobs``, ``cache_dir``,
-#: ``cache_max_bytes``, ``retries``, ``retry_backoff``) only change how
-#: the computation is scheduled.
+#: excluded fields (``budget``, ``cache_dir``, ``cache_max_bytes``,
+#: ``verify_level``) only change how the computation is run or checked.
 _FINGERPRINT_FIELDS = (
     "minimize", "max_signals", "output_order", "signal_prefix",
     "engine", "polish", "fallback", "degrade", "sat_mode",

@@ -12,9 +12,9 @@ of them can see alone: the **whole run**.
   inputs.
 * :mod:`repro.runtime.report` -- :class:`RunReport` with per-module
   ``ok | degraded | skipped`` statuses and the CLI exit-code mapping.
-* :mod:`repro.runtime.supervise` -- :class:`SupervisedPool`, the
-  crash-supervised executor wrapper (worker death, per-task overrun,
-  deterministic retry/backoff) behind the parallel module dispatch.
+* :mod:`repro.runtime.supervise` -- :class:`RetryPolicy` and
+  :class:`WorkerCrashError`, the deterministic respawn/backoff policy of
+  the service's worker pool.
 * :mod:`repro.runtime.run` -- :func:`run_synthesis`, the budgeted
   orchestrator the command line drives.
 
@@ -25,7 +25,7 @@ them back.  :func:`run_synthesis` is therefore loaded lazily (PEP 562).
 """
 
 from repro.errors import ReproError
-from repro.runtime.budget import Budget, BudgetExhaustedError, BudgetSlice
+from repro.runtime.budget import Budget, BudgetExhaustedError
 from repro.runtime.options import OPTION_FIELDS, SynthesisOptions, coerce_options
 from repro.runtime.report import (
     EXIT_CODES,
@@ -39,23 +39,13 @@ from repro.runtime.report import (
     ModuleStatus,
     RunReport,
 )
-from repro.runtime.supervise import (
-    ModuleOverrunError,
-    RetryPolicy,
-    SupervisedPool,
-    SuperviseStats,
-    WorkerCrashError,
-)
+from repro.runtime.supervise import RetryPolicy, WorkerCrashError
 from repro.runtime import faults
 
 __all__ = [
     "Budget",
     "BudgetExhaustedError",
-    "BudgetSlice",
-    "ModuleOverrunError",
     "RetryPolicy",
-    "SupervisedPool",
-    "SuperviseStats",
     "WorkerCrashError",
     "EXIT_CODES",
     "OPTION_FIELDS",

@@ -161,44 +161,6 @@ class Budget:
             max_seconds=_min_opt(limits.max_seconds, wall),
         )
 
-    # -- parallel workers --------------------------------------------------
-
-    def split(self, jobs):
-        """Per-worker budget slices for ``jobs`` concurrent processes.
-
-        Wall clock is a *shared* dimension: the workers run at the same
-        time, so every slice carries the parent's full remaining
-        allowance -- they all stop at the same absolute deadline the
-        serial run would.  (Splitting the wall ``jobs`` ways would make
-        a parallel run give up ``jobs``× *earlier* than the serial one;
-        summing per-worker allowances would let it run ``jobs``× longer
-        -- the over-commit this method exists to prevent.)
-
-        The backtrack pool is a *consumed* dimension: ``jobs`` workers
-        burning the full pool each would over-commit it ``jobs``×, so
-        each slice gets ``pool // jobs`` and the parent re-charges the
-        workers' actual usage via :meth:`charge_backtracks` at merge.
-
-        Returns a list of ``jobs`` picklable :class:`BudgetSlice`
-        values; each worker process reconstructs a live budget with
-        :meth:`BudgetSlice.start`.
-        """
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        wall = self.remaining_seconds()
-        if wall is not None:
-            wall = max(0.0, wall)
-        pool = self.remaining_backtracks()
-        share = None if pool is None else pool // jobs
-        return [
-            BudgetSlice(
-                max_seconds=wall,
-                max_states=self.max_states,
-                max_backtracks=share,
-            )
-            for _ in range(jobs)
-        ]
-
     # -- reporting ---------------------------------------------------------
 
     def snapshot(self):
@@ -219,45 +181,6 @@ class Budget:
             f"max_states={self.max_states}, "
             f"max_backtracks={self.max_backtracks}, "
             f"elapsed={self.elapsed():.3f}s)"
-        )
-
-
-class BudgetSlice:
-    """A picklable worker share of a parent :class:`Budget`.
-
-    Plain data -- no clock, no start time -- so it crosses the process
-    boundary; the worker calls :meth:`start` to begin counting on its
-    own clock.  Produced by :meth:`Budget.split`.
-    """
-
-    __slots__ = ("max_seconds", "max_states", "max_backtracks")
-
-    def __init__(self, max_seconds=None, max_states=None,
-                 max_backtracks=None):
-        self.max_seconds = max_seconds
-        self.max_states = max_states
-        self.max_backtracks = max_backtracks
-
-    def __getstate__(self):
-        return (self.max_seconds, self.max_states, self.max_backtracks)
-
-    def __setstate__(self, state):
-        self.max_seconds, self.max_states, self.max_backtracks = state
-
-    def start(self, clock=time.perf_counter):
-        """A live :class:`Budget` counting from now on ``clock``."""
-        return Budget(
-            max_seconds=self.max_seconds,
-            max_states=self.max_states,
-            max_backtracks=self.max_backtracks,
-            clock=clock,
-        )
-
-    def __repr__(self):
-        return (
-            f"BudgetSlice(max_seconds={self.max_seconds}, "
-            f"max_states={self.max_states}, "
-            f"max_backtracks={self.max_backtracks})"
         )
 
 

@@ -27,15 +27,6 @@ Injection points
     :func:`repro.csc.modular.partition_sat` raises
     :class:`~repro.csc.errors.SynthesisError` for one output's module.
     ``detail`` is the output signal name.
-``worker-crash``
-    The parallel dispatch (:mod:`repro.csc.parallel`) instructs one
-    module's worker process to die with ``os._exit`` on its first
-    attempt -- a *real* SIGKILL-shaped death that exercises the
-    ``BrokenProcessPool`` recovery of
-    :class:`~repro.runtime.supervise.SupervisedPool`, not a simulation
-    of it.  ``detail`` is the output signal name.  Consulted
-    parent-side at first dispatch only, so retries of the crashed
-    module succeed.
 ``cache-corrupt-record``
     :meth:`repro.perf.result_cache.ResultCache.get` treats the record
     it just read as corrupt: the stale self-heal path runs against a
@@ -54,8 +45,7 @@ CI's fault matrix arms points for a *whole test run* through the
 shots), parsed by :func:`load_env` at import.  Env-armed faults live in
 their own registry so per-test :func:`clear` fixtures -- which exist
 for test isolation -- do not silently disarm the matrix; use
-``clear(env=True)`` to drop them too (worker processes do, since
-faults are the parent's to fire).
+``clear(env=True)`` to drop them too.
 
 This module is deliberately a leaf (no :mod:`repro` imports) so every
 layer can consult it without cycles.
@@ -73,7 +63,6 @@ POINTS = (
     "bdd-blowup",
     "parse-error",
     "module-solve",
-    "worker-crash",
     "cache-corrupt-record",
     "cache-io-error",
 )

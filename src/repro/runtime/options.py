@@ -63,13 +63,6 @@ class SynthesisOptions:
     degrade:
         Modular method only: degrade failed per-output passes to direct
         sub-solves instead of aborting the run.
-    jobs:
-        Parallel worker processes.  Batch drivers (the Table-1 bench
-        runner) spread whole benchmarks over this many processes;
-        :func:`~repro.csc.synthesis.modular_synthesis` additionally
-        dispatches independent per-output module solves to a worker
-        pool when ``jobs > 1``.  Results are bit-identical to the
-        serial ``jobs=1`` run (see ``docs/parallelism.md``).
     cache_dir:
         Directory of the persistent
         :class:`~repro.perf.result_cache.ResultCache`.  ``None`` (the
@@ -80,18 +73,6 @@ class SynthesisOptions:
         until the store fits.  ``None`` (the default) never evicts.
         Like ``cache_dir``, a scheduling knob: it never changes what a
         run produces, only what later runs find warm.
-    retries:
-        Supervised retry budget per module when ``jobs > 1``: how many
-        times a module whose worker died, overran, or failed to
-        dispatch is resubmitted (with deterministic exponential
-        backoff) before being re-solved serially in the parent.  ``0``
-        escalates straight to the serial rescue.  See
-        ``docs/robustness.md``.
-    retry_backoff:
-        Base backoff delay in seconds before the first retry round;
-        later rounds double it (capped).  Deterministic -- the jitter
-        is seeded, so two runs of the same workload sleep the same
-        schedule.
     sat_mode:
         ``"incremental"`` (default) solves each grow-``m`` loop on one
         persistent assumption-based solver, carrying learned clauses
@@ -122,12 +103,9 @@ class SynthesisOptions:
     budget: object = None
     fallback: bool = False
     degrade: bool = False
-    jobs: int = 1
     cache_dir: object = None
     cache_max_bytes: object = None
     sat_mode: str = "incremental"
-    retries: int = 2
-    retry_backoff: float = 0.05
     verify_level: str = "csc"
 
     def __post_init__(self):
@@ -144,12 +122,6 @@ class SynthesisOptions:
             raise ValueError(
                 f"verify_level must be 'csc', 'conformance' or "
                 f"'hazards', not {self.verify_level!r}"
-            )
-        if self.retries < 0:
-            raise ValueError(f"retries must be >= 0, not {self.retries!r}")
-        if self.retry_backoff < 0:
-            raise ValueError(
-                f"retry_backoff must be >= 0, not {self.retry_backoff!r}"
             )
         if self.cache_max_bytes is not None and self.cache_max_bytes < 0:
             raise ValueError(
@@ -179,7 +151,7 @@ class SynthesisOptions:
 OPTION_FIELDS = frozenset(f.name for f in fields(SynthesisOptions))
 
 
-def coerce_options(options, caller, defaults=None, legacy=None):
+def coerce_options(options, caller, defaults=None):
     """Validate an ``options=`` value; fill per-caller defaults.
 
     * ``options`` given: type-checked and returned as-is.
@@ -187,19 +159,7 @@ def coerce_options(options, caller, defaults=None, legacy=None):
       ``defaults`` (a caller whose historical no-argument behaviour
       differs from the dataclass defaults -- ``run_synthesis`` keeps
       ``fallback=True`` -- preserves it here).
-
-    ``legacy`` is the removed PR-3 keyword shim's slot: any non-empty
-    mapping raises :class:`TypeError` naming the replacement.  Entry
-    points dropped their ``**legacy`` catch-alls, so stray keywords now
-    fail at the call site; this parameter remains only so an API
-    wrapper forwarding a keyword dict gets the same one-line diagnosis.
     """
-    if legacy:
-        named = ", ".join(sorted(legacy))
-        raise TypeError(
-            f"{caller}() no longer accepts synthesis keywords "
-            f"({named}); pass options=SynthesisOptions(...) instead"
-        )
     if options is None:
         return SynthesisOptions(**(defaults or {}))
     if not isinstance(options, SynthesisOptions):

@@ -42,39 +42,19 @@ class ModuleStatus:
                     sub-solve on the full graph covered for it.
     ``skipped``  -- both passes failed; the trailing verify-and-repair
                     rounds are the only remaining safety net.
-
-    Recovery bookkeeping rides alongside the status -- deliberately
-    *not* folded into it, because a module rescued from a worker crash
-    still produced the exact result the serial run would have
-    (``docs/robustness.md``):
-
-    ``retries``   -- supervised resubmissions after this module's own
-                     worker died, overran, or failed to dispatch.
-    ``respawns``  -- resubmissions because *another* task's crash took
-                     down the pool this module was queued on.
-    ``rescued``   -- the retry budget ran out and the module was
-                     re-solved serially in the parent instead.
     """
 
     def __init__(self, output, status=MODULE_OK, detail=None,
-                 signals_added=0, escalations=0, retries=0, respawns=0,
-                 rescued=False):
+                 signals_added=0, escalations=0):
         self.output = output
         self.status = status
         self.detail = detail
         self.signals_added = signals_added
         #: Number of engine-ladder escalations recorded while solving.
         self.escalations = escalations
-        self.retries = retries
-        self.respawns = respawns
-        self.rescued = rescued
 
     def __repr__(self):
         extra = f", detail={self.detail!r}" if self.detail else ""
-        if self.retries:
-            extra += f", retries={self.retries}"
-        if self.rescued:
-            extra += ", rescued"
         return f"ModuleStatus({self.output!r}, {self.status!r}{extra})"
 
 
@@ -119,20 +99,14 @@ class RunReport:
         #: :func:`~repro.runtime.run.run_synthesis` (``None`` when no
         #: pass ran, e.g. on timeout/error runs without a result).
         self.verify = None
-        #: Run-level crash-recovery tallies, set by the supervised
-        #: parallel dispatch (zero on serial runs).
-        self.worker_deaths = 0
-        self.pool_respawns = 0
 
     # -- construction ------------------------------------------------------
 
     def add_module(self, output, status=MODULE_OK, detail=None,
-                   signals_added=0, escalations=0, retries=0, respawns=0,
-                   rescued=False):
+                   signals_added=0, escalations=0):
         entry = ModuleStatus(
             output, status=status, detail=detail,
             signals_added=signals_added, escalations=escalations,
-            retries=retries, respawns=respawns, rescued=rescued,
         )
         self.modules.append(entry)
         return entry
@@ -166,11 +140,6 @@ class RunReport:
             metrics.add(f"modules_{entry.status}")
             metrics.add("signals_added", entry.signals_added)
             metrics.add("escalations", entry.escalations)
-            metrics.add("module_retries", entry.retries)
-            if entry.rescued:
-                metrics.add("serial_rescues")
-        metrics.add("worker_deaths", self.worker_deaths)
-        metrics.add("pool_respawns", self.pool_respawns)
         if self.verify is not None:
             metrics.add("verify_checks", len(self.verify.checks))
             metrics.add("verify_states", self.verify.states_explored)
@@ -198,21 +167,6 @@ class RunReport:
         return [m for m in self.modules if m.status == MODULE_SKIPPED]
 
     @property
-    def retried_modules(self):
-        """Modules whose own worker execution was retried."""
-        return [m for m in self.modules if m.retries]
-
-    @property
-    def respawned_modules(self):
-        """Modules resubmitted only because a crash took their pool down."""
-        return [m for m in self.modules if m.respawns]
-
-    @property
-    def rescued_modules(self):
-        """Modules re-solved serially after the retry budget ran out."""
-        return [m for m in self.modules if m.rescued]
-
-    @property
     def escalations(self):
         return sum(m.escalations for m in self.modules)
 
@@ -233,18 +187,6 @@ class RunReport:
                 if counts.get(s)
             )
             parts.append(f"modules: {detail}")
-        recovered = []
-        if self.retried_modules:
-            recovered.append(f"{len(self.retried_modules)} retried")
-        if self.rescued_modules:
-            recovered.append(f"{len(self.rescued_modules)} rescued")
-        if self.worker_deaths:
-            recovered.append(
-                f"{self.worker_deaths} worker death"
-                + ("s" if self.worker_deaths != 1 else "")
-            )
-        if recovered:
-            parts.append(f"recovered: {', '.join(recovered)}")
         if self.verify is not None:
             if self.verify.skipped is not None:
                 parts.append(f"verify skipped ({self.verify.skipped})")

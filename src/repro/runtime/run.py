@@ -10,8 +10,6 @@ exceptions decide the process outcome.  Only genuine bugs (non-
 
 from __future__ import annotations
 
-from concurrent.futures import BrokenExecutor
-
 from repro import obs
 from repro.errors import ReproError
 from repro.runtime.budget import Budget, BudgetExhaustedError
@@ -20,7 +18,6 @@ from repro.runtime.report import (
     RUN_TIMEOUT,
     RunReport,
 )
-from repro.runtime.supervise import WorkerCrashError
 
 
 def run_synthesis(stg, method="modular", options=None):
@@ -94,20 +91,6 @@ def run_synthesis(stg, method="modular", options=None):
                 report.finish(status=RUN_TIMEOUT, error=exc, budget=budget)
             report.method = method
             report.engine = engine
-            run_span.set("status", report.status)
-            return report
-        except BrokenExecutor as exc:
-            # The supervised dispatch retries pool breakage; one escaping
-            # anyway (a pool dying outside a supervised batch) is still
-            # an infrastructure verdict, not a bug: surface it as a
-            # structured worker error, never a raw executor traceback.
-            report = RunReport(method=method, engine=engine)
-            wrapped = WorkerCrashError(
-                f"worker pool broke beyond recovery: "
-                f"{exc or type(exc).__name__}"
-            )
-            status = RUN_TIMEOUT if budget.expired() else RUN_ERROR
-            report.finish(status=status, error=wrapped, budget=budget)
             run_span.set("status", report.status)
             return report
         except ReproError as exc:

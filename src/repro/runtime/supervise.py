@@ -1,58 +1,29 @@
-"""Supervised worker pools: crash recovery with deterministic backoff.
+"""Worker-crash recovery policy for the synthesis service's pool.
 
 A bare :class:`~concurrent.futures.ProcessPoolExecutor` treats a worker
 death as fatal: one process killed by the OS (OOM killer, SIGKILL, a
 segfaulting native extension) raises
 :class:`~concurrent.futures.process.BrokenProcessPool` out of *every*
-outstanding future and sinks the whole run.  For a synthesis service
-that promises graceful degradation of the circuits it emits, the
-infrastructure has to hold itself to the same standard: worker death,
-per-task wall-clock overrun and transient dispatch failures are
-**recoverable events**, not verdicts.
-
-:class:`SupervisedPool` is that layer.  It owns an executor built by a
-caller-supplied factory and runs a batch of tasks to completion under a
-:class:`RetryPolicy`:
-
-* a task whose future raises :class:`BrokenExecutor` (the worker died)
-  or times out against :attr:`RetryPolicy.task_timeout` (the worker is
-  stuck) is **retried**: the dead pool is killed and respawned from the
-  factory, and the task is resubmitted after a deterministic,
-  exponentially growing backoff delay;
-* tasks that were merely queued behind the crash are **respawned** on
-  the fresh pool -- they are bookkept separately
-  (:attr:`SuperviseStats.respawns`) because their own execution never
-  failed;
-* a task that keeps failing past :attr:`RetryPolicy.retries` attempts
-  comes back as a ``("failed", exc)`` outcome, leaving the caller to
-  escalate -- the modular merge loop re-solves such modules serially in
-  the parent (a *serial rescue*) before anything enters the
-  ``degrade=`` path;
-* an exception raised *by the task function itself* (it travelled back
-  pickled, so the worker was alive) is deterministic and is **not**
-  retried: rerunning a correctness failure buys nothing.
+outstanding future.  The service (:mod:`repro.service`) owns the
+repository's one worker pool and treats such a death as a recoverable
+event: it discards the broken pool generation, respawns a fresh one and
+resubmits the request after a backoff delay, until the
+:class:`RetryPolicy` budget is spent -- then the request fails with a
+:class:`WorkerCrashError`.
 
 Backoff is seeded and repeatable: :meth:`RetryPolicy.delay` mixes the
 attempt number and a task token through SHA-256, so two runs of the
 same workload sleep the same schedule -- no ``random`` module state, no
-wall-clock dependence.  Every retry round is journalled as a ``retry``
-span and ticks the ``worker_deaths`` / ``module_retries`` /
-``pool_respawns`` counters (see ``docs/observability.md``).
+wall-clock dependence.
 
-This module is runtime-layer: it knows nothing about synthesis.  The
-modular dispatch in :mod:`repro.csc.parallel` supplies the pool
-factory, the task function and the tokens.
+This module is runtime-layer: it knows nothing about synthesis or HTTP.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
-from concurrent.futures import BrokenExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
 
-from repro import obs
 from repro.errors import ReproError
 
 
@@ -60,21 +31,9 @@ class WorkerCrashError(ReproError):
     """A worker process died (SIGKILL, OOM, segfault) or the pool broke.
 
     Carries ``kind="worker"`` so drivers classify infrastructure deaths
-    apart from solve failures; raised per task after the retry budget is
-    spent, and surfaced by the supervised dispatch instead of a raw
+    apart from solve failures; raised per request once the retry budget
+    is spent, instead of a raw
     :class:`~concurrent.futures.process.BrokenProcessPool` traceback.
-    """
-
-    kind = "worker"
-
-
-class ModuleOverrunError(ReproError):
-    """A worker exceeded the supervisor's per-task wall-clock allowance.
-
-    Distinct from cooperative budget exhaustion: the worker did not
-    report back at all, so the supervisor reclaims it by killing the
-    pool.  ``kind="worker"`` -- to the caller this is indistinguishable
-    from a hung/dead worker.
     """
 
     kind = "worker"
@@ -82,7 +41,7 @@ class ModuleOverrunError(ReproError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How a :class:`SupervisedPool` retries failed tasks.
+    """How often, and after what delay, a crashed pool is respawned.
 
     Parameters
     ----------
@@ -96,21 +55,15 @@ class RetryPolicy:
     backoff_cap:
         Upper bound on any single delay.
     seed:
-        Mixed into the deterministic jitter so concurrent supervisors
-        (e.g. bench shards) do not sleep in lockstep, while two runs of
-        the same workload still sleep the same schedule.
-    task_timeout:
-        Per-task wall-clock allowance in seconds, measured while
-        waiting on the task's future; ``None`` waits forever.  An
-        overrun counts as a worker death: the pool is killed to reclaim
-        the stuck process and the task is retried.
+        Mixed into the deterministic jitter so concurrent services do
+        not sleep in lockstep, while two runs of the same workload
+        still sleep the same schedule.
     """
 
     retries: int = 2
     backoff: float = 0.05
     backoff_cap: float = 2.0
     seed: int = 0
-    task_timeout: object = None
 
     def __post_init__(self):
         if self.retries < 0:
@@ -135,240 +88,3 @@ class RetryPolicy:
         ).digest()
         fraction = int.from_bytes(digest[:4], "big") / 2 ** 32
         return base * (0.5 + fraction / 2)
-
-
-class SuperviseStats:
-    """What a supervised batch survived.
-
-    Attributes
-    ----------
-    worker_deaths:
-        Broken-pool / overrun events observed (each event kills at
-        least one worker; the exact body count is not observable).
-    pool_respawns:
-        Fresh executors built after the first.
-    retries:
-        ``{token: n}`` -- resubmissions of tasks whose *own* execution
-        failed (crash under the task, overrun, dispatch failure).
-    respawns:
-        ``{token: n}`` -- resubmissions of tasks that were collateral:
-        queued or in flight on a pool another task's crash took down.
-    """
-
-    def __init__(self):
-        self.worker_deaths = 0
-        self.pool_respawns = 0
-        self.retries = {}
-        self.respawns = {}
-
-    @property
-    def module_retries(self):
-        """Total own-failure resubmissions across all tasks."""
-        return sum(self.retries.values())
-
-    def __repr__(self):
-        return (
-            f"SuperviseStats(worker_deaths={self.worker_deaths}, "
-            f"pool_respawns={self.pool_respawns}, "
-            f"retries={self.module_retries}, "
-            f"respawns={sum(self.respawns.values())})"
-        )
-
-
-#: Outcome tags returned by :meth:`SupervisedPool.run`.
-OUTCOME_OK = "ok"
-OUTCOME_FAILED = "failed"
-
-
-class SupervisedPool:
-    """Run a batch of tasks on a crash-supervised executor.
-
-    Parameters
-    ----------
-    factory:
-        Zero-argument callable building a fresh executor (typically a
-        :class:`~concurrent.futures.ProcessPoolExecutor` with an
-        initializer).  Called lazily once per pool generation, so a
-        respawn after a crash re-reads any parent state the factory
-        closes over (e.g. the remaining budget).
-    policy:
-        The :class:`RetryPolicy`; defaults to ``RetryPolicy()``.
-    budget:
-        Optional :class:`~repro.runtime.budget.Budget`.  The supervisor
-        never *raises* on exhaustion -- it stops retrying instead, so
-        the caller's own checkpoints report the timeout with a proper
-        partial record -- and it clamps backoff sleeps to the remaining
-        wall allowance.
-    sleep:
-        Injectable sleep (tests pass a no-op to run the retry ladder
-        instantly).
-    """
-
-    def __init__(self, factory, policy=None, budget=None, sleep=time.sleep):
-        self.factory = factory
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.budget = budget
-        self._sleep = sleep
-
-    # -- public API --------------------------------------------------------
-
-    def run(self, fn, tasks):
-        """Run ``fn(*args, attempt)`` for every ``{token: args}`` task.
-
-        Returns ``(outcomes, stats)``: ``outcomes[token]`` is
-        ``(OUTCOME_OK, payload)`` or ``(OUTCOME_FAILED, exc)`` -- the
-        batch itself never raises on worker failure.  The attempt
-        number (0-based) is appended to each task's arguments so task
-        functions can behave attempt-dependently (fault injection uses
-        this to crash only the first try).
-        """
-        stats = SuperviseStats()
-        outcomes = {}
-        attempts = dict.fromkeys(tasks, 0)
-        pending = list(tasks)
-        pool = None
-        generation = 0
-        try:
-            while pending:
-                if pool is None:
-                    pool = self.factory()
-                    generation += 1
-                    if generation > 1:
-                        stats.pool_respawns += 1
-                        obs.add("pool_respawns")
-                futures, undispatched = self._submit(fn, tasks, attempts,
-                                                     pending, pool)
-                done, failures, own, broken = self._gather(futures)
-                failures.update(undispatched)
-                own.update(undispatched)
-                if broken or undispatched:
-                    self._kill(pool)
-                    pool = None
-                    stats.worker_deaths += 1
-                    obs.add("worker_deaths")
-                for token in pending:
-                    if token in done:
-                        outcomes[token] = (OUTCOME_OK, done[token])
-                pending = self._requeue(
-                    pending, failures, own, attempts, outcomes, stats
-                )
-                if pending:
-                    self._pause(attempts, pending, stats)
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
-        return outcomes, stats
-
-    # -- internals ---------------------------------------------------------
-
-    def _submit(self, fn, tasks, attempts, pending, pool):
-        """Submit the pending tokens; a submit-time crash fails the rest."""
-        futures = {}
-        undispatched = {}
-        broken = None
-        for token in pending:
-            if broken is not None:
-                undispatched[token] = WorkerCrashError(
-                    f"worker pool broke before dispatch of {token!r}: "
-                    f"{broken}"
-                )
-                continue
-            try:
-                futures[token] = pool.submit(
-                    fn, *tasks[token], attempts[token]
-                )
-            except Exception as exc:
-                broken = exc
-                undispatched[token] = WorkerCrashError(
-                    f"worker pool rejected {token!r}: {exc}"
-                )
-        return futures, undispatched
-
-    def _gather(self, futures):
-        """Collect results; classify failures and spot a broken pool.
-
-        Returns ``(done, failures, own, broken)`` where ``own`` is the
-        subset of failed tokens whose *own* execution failed (the first
-        crash, an overrun, a task exception) as opposed to collateral
-        broken-pool fallout.
-        """
-        done, failures = {}, {}
-        own = set()
-        broken = False
-        crash_seen = False
-        for token, future in futures.items():
-            try:
-                done[token] = future.result(timeout=self.policy.task_timeout)
-            except BrokenExecutor as exc:
-                # The first broken future is (approximately) the task a
-                # worker died under; everything after it was collateral.
-                failures[token] = WorkerCrashError(
-                    f"worker died while running {token!r}: "
-                    f"{exc or type(exc).__name__}"
-                )
-                if not crash_seen:
-                    own.add(token)
-                    crash_seen = True
-                broken = True
-            except _FuturesTimeout:
-                failures[token] = ModuleOverrunError(
-                    f"worker exceeded {self.policy.task_timeout:.3g}s "
-                    f"wall-clock allowance on {token!r}",
-                    task_timeout=self.policy.task_timeout,
-                )
-                own.add(token)
-                broken = True  # the worker is stuck; reclaim it
-            except Exception as exc:  # raised by fn itself: deterministic
-                failures[token] = exc
-                own.add(token)
-        return done, failures, own, broken
-
-    def _requeue(self, pending, failures, own, attempts, outcomes, stats):
-        """Split failures into retry / final according to the policy."""
-        budget_gone = self.budget is not None and self.budget.expired()
-        next_pending = []
-        for token in pending:
-            exc = failures.get(token)
-            if exc is None:
-                continue
-            retryable = isinstance(
-                exc, (WorkerCrashError, ModuleOverrunError)
-            )
-            attempts[token] += 1
-            if (not retryable or budget_gone
-                    or attempts[token] > self.policy.retries):
-                outcomes[token] = (OUTCOME_FAILED, exc)
-                continue
-            bucket = stats.retries if token in own else stats.respawns
-            bucket[token] = bucket.get(token, 0) + 1
-            if token in own:
-                obs.add("module_retries")
-            next_pending.append(token)
-        return next_pending
-
-    def _pause(self, attempts, pending, stats):
-        """One journalled backoff sleep before the next retry round."""
-        attempt = max(attempts[token] for token in pending)
-        delay = self.policy.delay(attempt, token=str(pending[0]))
-        if self.budget is not None:
-            remaining = self.budget.remaining_seconds()
-            if remaining is not None:
-                delay = max(0.0, min(delay, remaining))
-        with obs.span("retry", attempt=attempt, tasks=len(pending)) as span:
-            span.set("delay", round(delay, 6))
-            if delay > 0:
-                self._sleep(delay)
-
-    @staticmethod
-    def _kill(pool):
-        """Tear a pool down without waiting on dead or stuck workers."""
-        processes = list((getattr(pool, "_processes", None) or {}).values())
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-        for process in processes:
-            try:
-                process.terminate()
-            except Exception:
-                pass

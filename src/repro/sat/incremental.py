@@ -28,7 +28,7 @@ Branching is VSIDS over an indexed max-heap (:class:`_VarHeap`) --
 ``O(log n)`` per decision instead of the ``O(num_vars)`` scan of
 :meth:`repro.sat.cdcl._Cdcl._pick_branch` -- with ties broken towards
 the lowest variable index, so two runs over the same clause stream make
-identical decisions and the serial/parallel bit-identity contract of
+identical decisions and the determinism contract of
 ``docs/parallelism.md`` survives.  Restarts follow the Luby sequence.
 
 On UNSAT under assumptions the solver extracts the **failed-assumption

@@ -28,13 +28,14 @@ request from being computed twice:
    even reformatted -- replays the stored bytes without touching a
    worker.  Budgeted requests (``timeout_seconds`` set) are never
    cached: a wall-clock-bounded outcome is not a pure function of the
-   input (the same contract the module/artifact cache enforces).
+   input (the same contract the artifact cache enforces).
 2. **In-flight coalescing** -- concurrent identical requests
    single-flight on the leader's future; followers are counted as
    ``service_inflight_dedup`` and served the ``"hit"``-tier bytes.
 3. **Worker caches** -- executing workers share the same cache
-   directory for module/artifact records, so even a fresh request
-   benefits from previously solved modules.
+   directory for artifact records, so a fresh request for an already
+   synthesised circuit (under different verify or server knobs) skips
+   synthesis.
 
 HTTP status codes classify *transport* outcomes only: a synthesis
 error or timeout is still a valid API response (200) carrying its own
@@ -43,8 +44,8 @@ error or timeout is still a valid API response (200) carrying its own
 failure -- a worker pool that kept dying past the
 :class:`~repro.runtime.supervise.RetryPolicy` budget.  A dead pool is
 respawned with the policy's deterministic backoff
-(``service_worker_respawns``), mirroring the supervised module
-dispatch.
+(``service_worker_respawns``).  This pool is the repository's one
+worker pool: synthesis itself always runs serially inside a worker.
 
 Observability: each request runs under a ``service_request`` span (so
 ``--trace`` journals the service like any run), latencies land in the
@@ -119,7 +120,7 @@ def parse_request(body):
     return api.SynthesisRequest(g_text=body)
 
 
-def _execute_request(document, jobs=1, cache_dir=None, verify=True):
+def _execute_request(document, cache_dir=None, verify=True):
     """Run one request end to end; returns the response as a
     ``repro-api/1`` dict.
 
@@ -133,7 +134,7 @@ def _execute_request(document, jobs=1, cache_dir=None, verify=True):
 
     request = api.from_json(document)
     stg = parse_g(request.g_text)
-    options = request.to_options(jobs=jobs, cache_dir=cache_dir)
+    options = request.to_options(cache_dir=cache_dir)
     if not verify:
         # Server-side opt-out (--no-verify): downgrade to the static
         # CSC re-check regardless of what the request asked for.
@@ -151,11 +152,11 @@ class SynthesisService:
     cache_dir:
         Shared :class:`~repro.perf.result_cache.ResultCache` directory.
         ``None`` disables response replay (responses report
-        ``cache="off"``) and worker-side module/artifact caching.
+        ``cache="off"``) and worker-side artifact caching.
     jobs:
         Worker pool width -- the bound on concurrently *executing*
-        requests (each worker runs synthesis with ``jobs=1``; the
-        service parallelises across requests, not within one).
+        requests (each worker runs one synthesis serially; the service
+        parallelises across requests, not within one).
     verify:
         Honour each request's ``verify_level`` (default ``"hazards"``:
         gate-level conformance plus persistency) and record the verdict

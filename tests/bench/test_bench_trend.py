@@ -118,12 +118,12 @@ def test_compare_rejects_schema_mismatch(bench_trend):
 
 
 def test_compare_near_zero_baseline_gets_absolute_slack(bench_trend):
-    baseline = {"schema": "repro-crash-bench/1", "recovery_overhead": -0.05,
-                "faulted_parallel_seconds": 1.0}
-    ok = dict(baseline, recovery_overhead=-0.06)
+    baseline = {"schema": "repro-sat-bench/1", "incremental_seconds": 0.002}
+    # Five times the baseline, but within the absolute floor's slack.
+    ok = dict(baseline, incremental_seconds=0.01)
     _lines, regressions = bench_trend.compare_documents(baseline, ok)
     assert regressions == []
-    bad = dict(baseline, recovery_overhead=0.2)
+    bad = dict(baseline, incremental_seconds=0.2)
     _lines, regressions = bench_trend.compare_documents(baseline, bad)
     assert len(regressions) == 1
 

@@ -40,7 +40,9 @@ def test_campaign_is_clean_and_covers_the_matrix(document):
     assert {r["method"] for r in document["rows"]} == {
         "modular", "direct", "lavagno"
     }
-    assert any(r["jobs"] == 2 for r in document["rows"])
+    assert {r["sat_mode"] for r in document["rows"]} == {
+        "incremental", "oneshot"
+    }
     assert len(document["table1"]) == 23
     assert all(r["verdict"] is True for r in document["table1"])
     assert document["mutants"]["caught"] >= 1

@@ -1,11 +1,10 @@
-"""Span forests, self time, attribution, critical path, dispatch sizing."""
+"""Span forests, self time, attribution, critical path."""
 
 import pytest
 
 from repro.obs import (
     build_forest,
     critical_path,
-    dispatch_summary,
     format_attribution,
     format_critical_path,
     format_tree,
@@ -146,7 +145,7 @@ def test_name_attribution_subtracts_child_time():
     assert flat["module"].self_seconds == pytest.approx(1.0 + 3.0)
 
 
-# -- critical path and dispatch ---------------------------------------------
+# -- critical path ---------------------------------------------------------
 
 
 def test_critical_path_descends_heaviest_child():
@@ -157,30 +156,6 @@ def test_critical_path_descends_heaviest_child():
 
 def test_critical_path_empty_forest():
     assert critical_path([]) == []
-
-
-def test_dispatch_summary_serial_trace():
-    summary = dispatch_summary(build_forest(_serial_run()))
-    assert summary["parallel_seconds"] is None
-    assert summary["worker_segments"] == 0
-    assert summary["merge_seconds"] is None
-
-
-def test_dispatch_summary_sizes_parallel_run():
-    run_s, run_e = _span(1, "run", 0.0, 10.0)
-    par_s, par_e = _span(2, "module_parallel", 1.0, 6.0, parent=1)
-    worker_a = [HEADER, *_span(1, "module", 0.0, 4.0)]
-    worker_b = [HEADER, *_span(1, "module", 0.0, 2.0),
-                *_span(2, "module", 2.5, 1.0)]
-    events = [HEADER, run_s, par_s, par_e, run_e] + worker_a + worker_b
-    summary = dispatch_summary(build_forest(events))
-    assert summary["parallel_seconds"] == pytest.approx(6.0)
-    assert summary["worker_segments"] == 2
-    assert summary["worker_busy_seconds"] == [
-        pytest.approx(4.0), pytest.approx(3.0),
-    ]
-    assert summary["longest_worker_seconds"] == pytest.approx(4.0)
-    assert summary["merge_seconds"] == pytest.approx(2.0)
 
 
 # -- rendering --------------------------------------------------------------

@@ -174,67 +174,6 @@ def test_stopwatch_exceeded_none_means_unlimited():
     assert watch.exceeded(50.0)
 
 
-# -- absorbing worker traces (Tracer.absorb) --------------------------------
-
-
-def test_absorb_merges_worker_stats():
-    worker = Tracer(clock=FakeClock())
-    with worker.span("module"):
-        worker.add("decisions", 5)
-    parent = Tracer(clock=FakeClock())
-    with parent.span("module"):
-        parent.add("decisions", 2)
-    parent.absorb(worker.stats_dict())
-    assert parent.stats["module"].count == 2
-    assert parent.counter_totals()["decisions"] == 7
-
-
-def test_absorb_into_empty_profile():
-    worker = Tracer(clock=FakeClock())
-    with worker.span("solve"):
-        pass
-    parent = Tracer(clock=FakeClock())
-    parent.absorb(worker.stats_dict())
-    assert parent.stats["solve"].count == 1
-
-
-def test_absorbed_journal_appends_as_valid_segment():
-    from repro.obs.journal import read_events, split_segments, validate_events
-
-    worker_sink = io.StringIO()
-    worker = Tracer(journal=worker_sink, clock=FakeClock())
-    with worker.span("module"):
-        pass
-    worker.close()
-
-    parent_sink = io.StringIO()
-    parent = Tracer(journal=parent_sink, clock=FakeClock())
-    with parent.span("run"):
-        # Absorbed mid-run: the segment must not interleave with the
-        # parent's own (still open) spans.
-        parent.absorb(worker.stats_dict(), worker_sink.getvalue())
-    parent.close()
-
-    events = read_events(io.StringIO(parent_sink.getvalue()))
-    assert validate_events(events) == []
-    segments = split_segments(events)
-    assert len(segments) == 2
-    assert any(e.get("name") == "run" for e in segments[0][1])
-    assert any(e.get("name") == "module" for e in segments[1][1])
-
-
-def test_absorb_without_sink_discards_journal_text():
-    worker_sink = io.StringIO()
-    worker = Tracer(journal=worker_sink, clock=FakeClock())
-    with worker.span("module"):
-        pass
-    worker.close()
-    parent = Tracer(clock=FakeClock())  # no journal
-    parent.absorb(worker.stats_dict(), worker_sink.getvalue())
-    parent.close()  # must not raise
-    assert parent.stats["module"].count == 1
-
-
 def _traced_worker(counter_value):
     """A closed worker tracer with one ``module`` span and a metric set."""
     sink = io.StringIO()
@@ -245,35 +184,6 @@ def _traced_worker(counter_value):
     worker.gauge("peak_memory_bytes", 1000 * counter_value, span="module")
     worker.close()
     return worker, sink.getvalue()
-
-
-def test_absorb_merges_worker_histograms_and_gauges():
-    parent = Tracer(clock=FakeClock())
-    parent.observe("cache_lookup_seconds", 0.5)
-    parent.gauge("peak_memory_bytes", 1500, span="module")
-    for value in (1, 2):
-        worker, _text = _traced_worker(value)
-        parent.absorb(worker.stats_dict(), metrics=worker.metrics_dict())
-    hist = parent.histograms["cache_lookup_seconds"]
-    assert hist.count == 3
-    assert hist.total == pytest.approx(0.5 + 0.001 + 0.002)
-    gauge = parent.gauges["peak_memory_bytes{span='module'}"]
-    assert gauge.value == 2000.0  # the workers' peak beats the parent's
-
-
-def test_metrics_dict_round_trips_through_absorb():
-    worker, _text = _traced_worker(3)
-    snapshot = worker.metrics_dict()
-    # The snapshot must be JSON-serialisable (it crosses the process
-    # boundary in the worker result payload).
-    import json as _json
-
-    snapshot = _json.loads(_json.dumps(snapshot))
-    parent = Tracer(clock=FakeClock())
-    parent.absorb(metrics=snapshot)
-    assert parent.histograms["cache_lookup_seconds"].count == 1
-    assert parent.gauges["peak_memory_bytes{span='module'}"].value == 3000.0
-    assert Tracer(clock=FakeClock()).metrics_dict() == {}
 
 
 # -- retained events (keep_events) and multi-segment folding ----------------
@@ -293,24 +203,24 @@ def test_three_worker_segments_fold_in_order_live_and_on_disk():
     from repro.obs import build_forest
     from repro.obs.journal import read_events, validate_events
 
+    # A parent journal followed by three worker journals, concatenated
+    # the way ``repro.bench.table1 --jobs N`` merges per-worker files.
     parent_sink = io.StringIO()
     parent = Tracer(journal=parent_sink, clock=FakeClock(),
                     keep_events=True)
-    workers = [_traced_worker(value) for value in (1, 2, 3)]
     with parent.span("run"):
-        for worker, text in workers:
-            # Absorbed mid-run, like _absorb_payload does at jobs=3.
-            parent.absorb(worker.stats_dict(), text,
-                          worker.metrics_dict())
+        pass
     parent.close()
+    texts = [parent_sink.getvalue()]
+    texts += [text for _worker, text in
+              (_traced_worker(value) for value in (1, 2, 3))]
 
-    # The live event view and the journal file must agree exactly:
-    # parent segment first, then the worker segments in absorb order.
-    file_events = read_events(io.StringIO(parent_sink.getvalue()))
-    assert parent.events == file_events
-    assert validate_events(parent.events) == []
+    # The live event view and the parent's journal file agree exactly.
+    assert parent.events == read_events(io.StringIO(texts[0]))
+    merged = read_events(io.StringIO("".join(texts)))
+    assert validate_events(merged) == []
 
-    roots = build_forest(parent.events)
+    roots = build_forest(merged)
     assert [(r.name, r.segment) for r in roots] == [
         ("run", 0), ("module", 1), ("module", 2), ("module", 3),
     ]
@@ -319,31 +229,27 @@ def test_three_worker_segments_fold_in_order_live_and_on_disk():
 
 
 def test_live_stats_match_stats_rebuilt_from_the_merged_journal():
-    from repro.obs import aggregate_events, stats_as_dict
+    from repro.obs import aggregate_events, merge_stats, stats_as_dict
+    from repro.obs.journal import read_events
 
     parent_sink = io.StringIO()
-    parent = Tracer(journal=parent_sink, clock=FakeClock(),
-                    keep_events=True)
+    parent = Tracer(journal=parent_sink, clock=FakeClock())
     with parent.span("run"):
         with parent.span("module", output="p"):
             parent.add("decisions", 9)
-        for value in (1, 2, 3):
-            worker, text = _traced_worker(value)
-            parent.absorb(worker.stats_dict(), text)
     parent.close()
+    tracers = [parent]
+    texts = [parent_sink.getvalue()]
+    for value in (1, 2, 3):
+        worker, text = _traced_worker(value)
+        tracers.append(worker)
+        texts.append(text)
 
-    rebuilt = aggregate_events(parent.events)
-    assert stats_as_dict(parent.stats) == stats_as_dict(rebuilt)
-    assert parent.stats["module"].count == 4
-    assert parent.counter_totals()["decisions"] == 9 + 1 + 2 + 3
-
-
-def test_absorb_tolerates_torn_journal_lines():
-    worker, text = _traced_worker(1)
-    torn = text[: text.rindex("\n") // 2]  # cut mid-record
-    parent = Tracer(clock=FakeClock(), keep_events=True)
-    parent.absorb(worker.stats_dict(), torn)
-    assert all(isinstance(e, dict) for e in parent.events)
+    live = merge_stats(tracer.stats_dict() for tracer in tracers)
+    rebuilt = aggregate_events(read_events(io.StringIO("".join(texts))))
+    assert stats_as_dict(live) == stats_as_dict(rebuilt)
+    assert live["module"].count == 4
+    assert rebuilt["module"].counters["decisions"] == 9 + 1 + 2 + 3
 
 
 # -- automatic histograms and memory gauges ---------------------------------

@@ -275,9 +275,27 @@ def test_stats_snapshot(tmp_path):
 def test_options_fingerprint_ignores_scheduling_fields(tmp_path):
     base = options_fingerprint(SynthesisOptions(minimize=True))
     assert base == options_fingerprint(SynthesisOptions(
-        minimize=True, jobs=4, cache_dir=str(tmp_path),
-        budget=Budget(max_seconds=100),
+        minimize=True, cache_dir=str(tmp_path), cache_max_bytes=1 << 20,
+        budget=Budget(max_seconds=100), verify_level="hazards",
     ))
+
+
+def test_cache_keys_are_pinned():
+    # Existing result caches stay warm only while these texts hold:
+    # a changed fingerprint or key silently turns every lookup into a
+    # miss.  Change them together with CACHE_SALT, never alone.
+    from repro.stg.canonical import g_fingerprint
+
+    fingerprint = options_fingerprint(SynthesisOptions(), "modular")
+    assert fingerprint == (
+        "method=modular;limits=None;minimize=True;max_signals=None;"
+        "output_order=None;signal_prefix=None;engine='hybrid';"
+        "polish=True;fallback=False;degrade=False;sat_mode='incremental'"
+    )
+    stg_fp = g_fingerprint(load_benchmark("nak-pa"))
+    assert ResultCache.key(stg_fp, fingerprint, "artifact", "modular") == (
+        "1f4fa339bcd460e19cffaf34bc7bf4d955279fcf929e1a178436086e9e91f78d"
+    )
 
 
 def test_options_fingerprint_tracks_result_fields():

@@ -91,76 +91,3 @@ def test_snapshot_shape():
     assert snap["backtracks_used"] == 3
     assert snap["checkpoints"] == 1
     assert snap["exhausted_at"] is None
-
-
-# -- parallel worker slices (Budget.split) -------------------------------
-
-def test_split_shares_wall_clock_not_divides_it():
-    clock = FakeClock()
-    budget = Budget(max_seconds=10.0, clock=clock)
-    clock.advance(4.0)
-    slices = budget.split(4)
-    assert len(slices) == 4
-    # Workers run concurrently against the same absolute deadline: each
-    # slice carries the parent's full remaining 6 s, not 6/4.
-    assert all(s.max_seconds == pytest.approx(6.0) for s in slices)
-
-
-def test_split_divides_backtrack_pool():
-    budget = Budget(max_backtracks=1000)
-    budget.charge_backtracks(100)
-    slices = budget.split(3)
-    assert all(s.max_backtracks == 300 for s in slices)
-
-
-def test_split_clamps_expired_wall_to_zero():
-    clock = FakeClock()
-    budget = Budget(max_seconds=1.0, clock=clock)
-    clock.advance(5.0)
-    assert all(s.max_seconds == 0.0 for s in budget.split(2))
-
-
-def test_split_preserves_unlimited_dimensions():
-    for worker in Budget().split(2):
-        assert worker.max_seconds is None
-        assert worker.max_states is None
-        assert worker.max_backtracks is None
-
-
-def test_split_rejects_bad_jobs():
-    with pytest.raises(ValueError):
-        Budget().split(0)
-
-
-def test_slice_round_trips_through_pickle_and_starts():
-    import pickle
-
-    from repro.runtime.budget import BudgetSlice
-
-    original = Budget(
-        max_seconds=2.0, max_states=50, max_backtracks=90
-    ).split(3)[0]
-    assert isinstance(original, BudgetSlice)
-    revived = pickle.loads(pickle.dumps(original))
-    clock = FakeClock()
-    live = revived.start(clock=clock)
-    # Loose tolerance: real wall-clock elapses between the parent
-    # Budget's construction and the split, shaving the slice's window.
-    assert live.max_seconds == pytest.approx(2.0, abs=0.05)
-    assert live.max_states == 50
-    assert live.max_backtracks == 30
-    clock.advance(1.0)
-    live.checkpoint("inside-deadline")
-    clock.advance(1.5)
-    with pytest.raises(BudgetExhaustedError):
-        live.checkpoint("past-deadline")
-
-
-def test_workers_collectively_respect_parent_pool():
-    # The parent re-charges worker usage at merge: N workers burning
-    # their full shares can never exceed the original pool.
-    budget = Budget(max_backtracks=900)
-    slices = budget.split(3)
-    for worker in slices:
-        budget.charge_backtracks(worker.max_backtracks)
-    assert budget.remaining_backtracks() == 0

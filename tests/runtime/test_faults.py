@@ -126,13 +126,13 @@ def _clean_env_registry():
 
 
 def test_load_env_parses_points_and_shot_counts(_clean_env_registry):
-    handles = faults.load_env("worker-crash:2, cache-corrupt-record")
+    handles = faults.load_env("module-solve:2, cache-corrupt-record")
     assert [h.point for h in handles] == [
-        "worker-crash", "cache-corrupt-record",
+        "module-solve", "cache-corrupt-record",
     ]
     assert handles[0].remaining == 2
     assert handles[1].remaining is None  # unlimited
-    assert faults.should_fire("worker-crash")
+    assert faults.should_fire("module-solve")
     assert faults.should_fire("cache-corrupt-record")
 
 
@@ -140,7 +140,7 @@ def test_load_env_rejects_unknown_point_and_bad_count():
     with pytest.raises(ValueError):
         faults.load_env("no-such-point")
     with pytest.raises(ValueError):
-        faults.load_env("worker-crash:many")
+        faults.load_env("module-solve:many")
 
 
 def test_env_faults_survive_plain_clear(_clean_env_registry):
@@ -152,14 +152,14 @@ def test_env_faults_survive_plain_clear(_clean_env_registry):
 
 
 def test_test_armed_fault_shadows_env_fault(_clean_env_registry):
-    env_spec, = faults.load_env("worker-crash")
-    spec = faults.inject("worker-crash", times=1)
-    assert faults.active()["worker-crash"] is spec
-    assert faults.should_fire("worker-crash")
+    env_spec, = faults.load_env("module-solve")
+    spec = faults.inject("module-solve", times=1)
+    assert faults.active()["module-solve"] is spec
+    assert faults.should_fire("module-solve")
     assert spec.fired == 1  # the test-armed spec took the shot
     assert env_spec.fired == 0
     # The spent test spec no longer shadows; the env fault shows again.
-    assert faults.active()["worker-crash"] is env_spec
+    assert faults.active()["module-solve"] is env_spec
 
 
 def test_load_env_empty_spec_arms_nothing(_clean_env_registry):
@@ -168,7 +168,5 @@ def test_load_env_empty_spec_arms_nothing(_clean_env_registry):
 
 
 def test_cache_points_are_registered():
-    for point in (
-        "worker-crash", "cache-corrupt-record", "cache-io-error",
-    ):
+    for point in ("cache-corrupt-record", "cache-io-error"):
         assert point in faults.POINTS

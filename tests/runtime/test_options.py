@@ -5,7 +5,7 @@ import pytest
 import repro
 from repro.baselines import lavagno_synthesis
 from repro.csc import direct_synthesis, modular_synthesis
-from repro.runtime import SynthesisOptions, coerce_options
+from repro.runtime import OPTION_FIELDS, SynthesisOptions, coerce_options
 from repro.runtime.run import run_synthesis
 from repro.stg import parse_g
 
@@ -48,23 +48,16 @@ class TestSynthesisOptions:
 
     def test_robustness_knob_defaults(self):
         options = SynthesisOptions()
-        assert options.retries == 2
-        assert options.retry_backoff == 0.05
         assert options.cache_max_bytes is None
+        # Synthesis runs serially; there is no in-run pool to size or
+        # retry.
+        assert not {"jobs", "retries", "retry_backoff"} & OPTION_FIELDS
 
     def test_robustness_knobs_validated(self):
-        with pytest.raises(ValueError, match="retries"):
-            SynthesisOptions(retries=-1)
-        with pytest.raises(ValueError, match="retry_backoff"):
-            SynthesisOptions(retry_backoff=-0.5)
         with pytest.raises(ValueError, match="cache_max_bytes"):
             SynthesisOptions(cache_max_bytes=-1)
-        # Zero is meaningful for all three: escalate immediately, no
-        # backoff sleep, evict everything.
-        options = SynthesisOptions(
-            retries=0, retry_backoff=0.0, cache_max_bytes=0
-        )
-        assert options.retries == 0
+        # Zero is meaningful: evict everything.
+        assert SynthesisOptions(cache_max_bytes=0).cache_max_bytes == 0
 
 
 class TestCoerceOptions:
@@ -84,21 +77,6 @@ class TestCoerceOptions:
     def test_non_options_value_rejected(self):
         with pytest.raises(TypeError, match="SynthesisOptions"):
             coerce_options({"engine": "dpll"}, "x_synthesis")
-
-    def test_legacy_kwargs_raise_type_error(self):
-        # The PR-3 deprecation cycle is over: any forwarded legacy
-        # keyword dict is a TypeError naming the replacement.
-        with pytest.raises(TypeError, match="options=SynthesisOptions"):
-            coerce_options(
-                None, "modular_synthesis", legacy={"minimize": False}
-            )
-
-    def test_legacy_error_names_the_keywords(self):
-        with pytest.raises(TypeError, match="engine, minimize"):
-            coerce_options(
-                None, "x_synthesis",
-                legacy={"minimize": False, "engine": "dpll"},
-            )
 
 
 class TestEntryPoints:

@@ -1,101 +1,13 @@
-"""The supervised pool: retry policy, crash classification, escalation.
+"""The service pool's retry policy: deterministic, capped backoff.
 
-The pool under test is fake -- a scripted executor whose futures fail on
-command -- so every recovery path (worker death, collateral broken-pool
-fallout, per-task overrun, submit-time breakage, retry exhaustion,
-budget cut-off) runs deterministically and instantly.  The
-integration with real ``ProcessPoolExecutor`` death is covered by the
-``worker-crash`` fault tests in ``tests/csc/test_parallel.py``.
+The respawn loop that consumes the policy is exercised end to end by
+the service's worker-recovery tests (``tests/test_service.py``).
 """
-
-from concurrent.futures import BrokenExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 
 import pytest
 
-from repro.runtime.budget import Budget
-from repro.runtime.supervise import (
-    OUTCOME_FAILED,
-    OUTCOME_OK,
-    ModuleOverrunError,
-    RetryPolicy,
-    SupervisedPool,
-    SuperviseStats,
-    WorkerCrashError,
-)
+from repro.runtime.supervise import RetryPolicy
 
-
-# -- the scripted executor --------------------------------------------------
-
-class FakeFuture:
-    def __init__(self, action, value):
-        self.action = action
-        self.value = value
-
-    def result(self, timeout=None):
-        if self.action == "ok":
-            return self.value
-        if self.action == "crash":
-            raise BrokenExecutor("process pool terminated abruptly")
-        if self.action == "hang":
-            raise FuturesTimeout()
-        raise self.value  # action == "raise": fn's own exception
-
-
-class FakePool:
-    """An executor whose per-token behaviour is scripted per attempt.
-
-    ``script[token]`` is a list over attempts: ``"ok"``, ``"crash"``,
-    ``"hang"``, ``"reject"`` (submit raises) or an exception instance
-    (the task function raising it).
-    """
-
-    def __init__(self, script, log):
-        self.script = script
-        self.log = log
-        self.shutdowns = []
-        # Mimic ProcessPoolExecutor's private process table so _kill's
-        # terminate sweep has something to walk.
-        self._processes = {}
-
-    def submit(self, fn, *args):
-        token, attempt = args[0], args[-1]
-        self.log.append(("submit", token, attempt))
-        action = self.script[token][min(attempt, len(self.script[token]) - 1)]
-        if action == "reject":
-            raise BrokenExecutor("pool broke at submit")
-        if isinstance(action, Exception):
-            return FakeFuture("raise", action)
-        return FakeFuture(action, f"{token}@{attempt}")
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self.shutdowns.append((wait, cancel_futures))
-
-
-def make_pool(script, policy=None, budget=None, **kwargs):
-    log = []
-    generations = []
-
-    def factory():
-        pool = FakePool(script, log)
-        generations.append(pool)
-        return pool
-
-    supervisor = SupervisedPool(
-        factory,
-        policy=policy if policy is not None else RetryPolicy(backoff=0.0),
-        budget=budget,
-        sleep=lambda _s: None,
-        **kwargs,
-    )
-    return supervisor, log, generations
-
-
-def run_fn(token, attempt):
-    raise AssertionError("FakePool never calls the task function")
-
-
-# -- retry policy -----------------------------------------------------------
 
 def test_delay_is_deterministic_and_jittered():
     policy = RetryPolicy(backoff=0.1, seed=7)
@@ -127,186 +39,3 @@ def test_policy_validation():
         RetryPolicy(retries=-1)
     with pytest.raises(ValueError):
         RetryPolicy(backoff=-0.1)
-
-
-# -- the happy path ---------------------------------------------------------
-
-def test_all_ok_runs_once():
-    supervisor, log, generations = make_pool({"a": ["ok"], "b": ["ok"]})
-    outcomes, stats = supervisor.run(run_fn, {"a": ("a",), "b": ("b",)})
-    assert outcomes == {
-        "a": (OUTCOME_OK, "a@0"), "b": (OUTCOME_OK, "b@0"),
-    }
-    assert len(generations) == 1
-    assert stats.worker_deaths == 0
-    assert stats.pool_respawns == 0
-    assert stats.retries == {} and stats.respawns == {}
-
-
-def test_attempt_number_is_appended():
-    supervisor, log, _ = make_pool({"a": ["crash", "ok"]})
-    supervisor.run(run_fn, {"a": ("a",)})
-    assert [(t, n) for op, t, n in log if op == "submit"] == [
-        ("a", 0), ("a", 1),
-    ]
-
-
-# -- crash recovery ---------------------------------------------------------
-
-def test_crash_is_retried_on_a_fresh_pool():
-    supervisor, log, generations = make_pool({"a": ["crash", "ok"]})
-    outcomes, stats = supervisor.run(run_fn, {"a": ("a",)})
-    assert outcomes["a"] == (OUTCOME_OK, "a@1")
-    assert len(generations) == 2  # the broken pool was respawned
-    assert stats.worker_deaths == 1
-    assert stats.pool_respawns == 1
-    assert stats.retries == {"a": 1}
-    assert stats.module_retries == 1
-    # The broken pool was torn down without waiting.
-    assert (False, True) in generations[0].shutdowns
-
-
-def test_collateral_tasks_are_respawned_not_retried():
-    # Both futures raise BrokenExecutor; only the first (in gather
-    # order) was the task the worker died under.
-    supervisor, _, _ = make_pool({
-        "a": ["crash", "ok"], "b": ["crash", "ok"],
-    })
-    outcomes, stats = supervisor.run(run_fn, {"a": ("a",), "b": ("b",)})
-    assert outcomes["a"][0] == OUTCOME_OK
-    assert outcomes["b"][0] == OUTCOME_OK
-    assert stats.retries == {"a": 1}
-    assert stats.respawns == {"b": 1}
-    assert stats.worker_deaths == 1
-
-
-def test_retry_exhaustion_fails_with_worker_crash_error():
-    supervisor, _, generations = make_pool(
-        {"a": ["crash", "crash", "crash", "crash"]},
-        policy=RetryPolicy(retries=2, backoff=0.0),
-    )
-    outcomes, stats = supervisor.run(run_fn, {"a": ("a",)})
-    tag, exc = outcomes["a"]
-    assert tag == OUTCOME_FAILED
-    assert isinstance(exc, WorkerCrashError)
-    assert exc.kind == "worker"
-    assert stats.retries == {"a": 2}
-    assert len(generations) == 3  # initial + one respawn per retry
-
-
-def test_zero_retries_escalates_immediately():
-    supervisor, _, generations = make_pool(
-        {"a": ["crash", "ok"]}, policy=RetryPolicy(retries=0),
-    )
-    outcomes, stats = supervisor.run(run_fn, {"a": ("a",)})
-    assert outcomes["a"][0] == OUTCOME_FAILED
-    assert stats.retries == {}
-    assert len(generations) == 1
-
-
-def test_submit_time_breakage_is_retried():
-    supervisor, log, generations = make_pool({
-        "a": ["reject", "ok"], "b": ["reject", "ok"],
-    })
-    outcomes, stats = supervisor.run(run_fn, {"a": ("a",), "b": ("b",)})
-    assert outcomes["a"][0] == OUTCOME_OK
-    assert outcomes["b"][0] == OUTCOME_OK
-    assert stats.worker_deaths == 1
-
-
-# -- overrun ----------------------------------------------------------------
-
-def test_overrun_kills_pool_and_retries():
-    supervisor, _, generations = make_pool(
-        {"a": ["hang", "ok"]},
-        policy=RetryPolicy(retries=1, backoff=0.0, task_timeout=0.01),
-    )
-    outcomes, stats = supervisor.run(run_fn, {"a": ("a",)})
-    assert outcomes["a"] == (OUTCOME_OK, "a@1")
-    assert stats.retries == {"a": 1}
-    assert len(generations) == 2  # the stuck worker was reclaimed
-
-
-def test_overrun_exhaustion_is_module_overrun_error():
-    supervisor, _, _ = make_pool(
-        {"a": ["hang", "hang"]},
-        policy=RetryPolicy(retries=1, backoff=0.0, task_timeout=0.01),
-    )
-    outcomes, _ = supervisor.run(run_fn, {"a": ("a",)})
-    tag, exc = outcomes["a"]
-    assert tag == OUTCOME_FAILED
-    assert isinstance(exc, ModuleOverrunError)
-    assert exc.kind == "worker"
-
-
-# -- deterministic failures are not retried ---------------------------------
-
-def test_task_exception_is_not_retried():
-    boom = ValueError("deterministic solve failure")
-    supervisor, log, generations = make_pool({"a": [boom, "ok"]})
-    outcomes, stats = supervisor.run(run_fn, {"a": ("a",)})
-    assert outcomes["a"] == (OUTCOME_FAILED, boom)
-    assert stats.retries == {} and stats.worker_deaths == 0
-    assert len(generations) == 1  # the pool stayed healthy
-    assert len([op for op, *_ in log if op == "submit"]) == 1
-
-
-# -- budget interaction -----------------------------------------------------
-
-def test_expired_budget_stops_retrying_without_raising():
-    budget = Budget(max_seconds=0.0)  # pre-expired
-    supervisor, _, _ = make_pool(
-        {"a": ["crash", "ok"]}, budget=budget,
-    )
-    outcomes, stats = supervisor.run(run_fn, {"a": ("a",)})
-    tag, exc = outcomes["a"]
-    assert tag == OUTCOME_FAILED
-    assert isinstance(exc, WorkerCrashError)
-    assert stats.retries == {}
-
-
-def test_backoff_sleep_is_clamped_to_remaining_wall():
-    slept = []
-    ticks = iter([0.0] * 50)
-    budget = Budget(max_seconds=1000.0, clock=lambda: next(ticks, 0.0))
-    log = []
-
-    def factory():
-        return FakePool({"a": ["crash", "ok"]}, log)
-
-    supervisor = SupervisedPool(
-        factory,
-        policy=RetryPolicy(retries=1, backoff=5000.0, backoff_cap=5000.0),
-        budget=budget,
-        sleep=slept.append,
-    )
-    outcomes, _ = supervisor.run(run_fn, {"a": ("a",)})
-    assert outcomes["a"][0] == OUTCOME_OK
-    assert slept and all(s <= 1000.0 for s in slept)
-
-
-def test_sleep_schedule_is_reproducible():
-    def run_once():
-        slept = []
-        log = []
-        supervisor = SupervisedPool(
-            lambda: FakePool({"a": ["crash", "crash", "ok"]}, log),
-            policy=RetryPolicy(retries=2, backoff=0.25),
-            sleep=slept.append,
-        )
-        supervisor.run(run_fn, {"a": ("a",)})
-        return slept
-
-    assert run_once() == run_once()
-
-
-# -- stats ------------------------------------------------------------------
-
-def test_stats_repr_and_totals():
-    stats = SuperviseStats()
-    stats.worker_deaths = 2
-    stats.retries = {"a": 1, "b": 2}
-    stats.respawns = {"c": 1}
-    assert stats.module_retries == 3
-    text = repr(stats)
-    assert "worker_deaths=2" in text and "retries=3" in text

@@ -103,9 +103,7 @@ SAMPLE = [
 ]
 
 
-@pytest.mark.parametrize(
-    "method", ["modular", "modular-jobs2", "direct"]
-)
+@pytest.mark.parametrize("method", ["modular", "direct"])
 @pytest.mark.parametrize("signals,width,density,seed", SAMPLE)
 def test_generated_differential(signals, width, density, seed, method):
     generated = generate_stg(

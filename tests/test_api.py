@@ -56,10 +56,10 @@ class TestSynthesisRequest:
             g_text=HANDSHAKE, engine="dpll", minimize=False,
             timeout_seconds=9.0,
         )
-        options = request.to_options(jobs=2)
+        options = request.to_options(cache_dir="server-cache")
         assert options.engine == "dpll"
         assert options.minimize is False
-        assert options.jobs == 2
+        assert options.cache_dir == "server-cache"
         assert options.budget.max_seconds == 9.0
         assert SynthesisRequest(g_text=HANDSHAKE).to_options().budget is None
 

@@ -131,38 +131,7 @@ def test_timeout_large_enough_still_succeeds(spec, capsys):
     assert "conformance verified" in capsys.readouterr().out
 
 
-# -- parallel workers and the result cache -------------------------------
-
-def test_parallel_run_matches_serial_output(spec, capsys):
-    import re
-
-    def normalised(text):
-        # Both runs report their own wall clock; everything else --
-        # equations, signal counts, status -- must match exactly.
-        return re.sub(r"\d+\.\d+s", "_s", text)
-
-    assert main([spec]) == 0
-    serial = capsys.readouterr().out
-    assert main([spec, "--jobs", "2"]) == 0
-    assert normalised(capsys.readouterr().out) == normalised(serial)
-
-
-def test_parallel_timeout_is_exit_3_like_serial(spec, capsys):
-    # N workers share the parent's absolute deadline (Budget.split), so
-    # a parallel run under a blown budget exits 3 exactly like serial.
-    assert main([spec, "--jobs", "2", "--timeout", "0", "--quiet"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("timeout:")
-
-
-def test_parallel_degraded_run_is_exit_2(spec, capsys):
-    with faults.injected("module-solve"):
-        code = main([spec, "--jobs", "2", "--quiet"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "conformance verified" in captured.out
-    assert "degraded" in captured.err
-
+# -- the result cache -------------------------------------------------------
 
 def test_warm_cache_run_is_byte_identical(spec, tmp_path, capsys):
     cache = str(tmp_path / "cache")
@@ -181,27 +150,6 @@ def test_no_cache_ignores_cache_dir(spec, tmp_path, capsys):
         [spec, "--cache-dir", cache, "--no-cache", "--quiet"]
     ) == 0
     assert not os.path.exists(cache)
-
-
-def test_worker_crash_run_matches_serial_output(spec, capsys):
-    import re
-
-    def normalised(text):
-        return re.sub(r"\d+\.\d+s", "_s", text)
-
-    assert main([spec]) == 0
-    serial = capsys.readouterr().out
-    with faults.injected("worker-crash"):
-        code = main([spec, "--jobs", "2", "--retry-backoff", "0"])
-    assert code == 0  # the retry rescued it: no degradation, exit 0
-    assert normalised(capsys.readouterr().out) == normalised(serial)
-
-
-def test_zero_retries_rescue_still_exit_0(spec, capsys):
-    with faults.injected("worker-crash"):
-        code = main([spec, "--jobs", "2", "--retries", "0", "--quiet"])
-    assert code == 0
-    assert "conformance verified" in capsys.readouterr().out
 
 
 def test_cache_max_bytes_flag_bounds_the_store(spec, tmp_path, capsys):

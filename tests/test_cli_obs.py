@@ -213,11 +213,16 @@ def test_summarize_trace_diagnoses_truncated_journal(spec, tmp_path,
     assert "Traceback" not in captured.err
 
 
-def test_analyze_trace_tool_attributes_parallel_journal(spec, tmp_path,
-                                                        capsys):
+def test_analyze_trace_tool_attributes_parallel_journal(tmp_path, capsys):
+    # ``repro.bench.table1 --jobs 2`` concatenates one self-contained
+    # journal per worker: the multi-segment journal the tool must fold.
+    from repro.bench.table1 import main as table1_main
+
     trace = tmp_path / "jobs.jsonl"
-    assert main([spec, "--quiet", "--jobs", "2",
-                 "--trace", str(trace)]) == 0
+    assert table1_main([
+        "--names", "vbe-ex1,nousc-ser", "--methods", "modular",
+        "--no-minimize", "--jobs", "2", "--trace", str(trace),
+    ]) == 0
     capsys.readouterr()
 
     module = _load_tool("analyze_trace")
@@ -228,7 +233,11 @@ def test_analyze_trace_tool_attributes_parallel_journal(spec, tmp_path,
                         "--chrome", str(chrome)]) == 0
     out = capsys.readouterr().out
     assert "total" in out and "self" in out  # the critical-path hops
-    assert "worker" in out  # the dispatch section saw the segments
     assert folded.read_text().strip()
     document = json.loads(chrome.read_text())
     assert document["traceEvents"]
+    lanes = {
+        event["args"]["name"] for event in document["traceEvents"]
+        if event["ph"] == "M"
+    }
+    assert "worker segment 1" in lanes  # both worker journals folded

@@ -1,7 +1,7 @@
 """Differential cross-checks: every synthesis method, one contract.
 
 The three methods (modular, direct, lavagno) and the modular method's
-execution variants (parallel workers, warm result cache) differ only in
+execution variants (one-shot SAT, warm result cache) differ only in
 *how* they reach a result.  One harness pins what they must all agree
 on, for benchmark STGs and Hypothesis-generated controllers alike:
 
@@ -31,12 +31,6 @@ def _synthesise_modular(graph):
     return modular_synthesis(graph, options=SynthesisOptions(minimize=True))
 
 
-def _synthesise_modular_jobs(graph):
-    return modular_synthesis(
-        graph, options=SynthesisOptions(minimize=True, jobs=2)
-    )
-
-
 def _synthesise_modular_cached(graph, tmp_path):
     options = SynthesisOptions(minimize=True, cache_dir=str(tmp_path))
     modular_synthesis(graph, options=options)  # prime
@@ -59,7 +53,6 @@ def _synthesise_lavagno(graph):
 
 METHODS = {
     "modular": _synthesise_modular,
-    "modular-jobs2": _synthesise_modular_jobs,
     "modular-oneshot": _synthesise_modular_oneshot,
     "direct": _synthesise_direct,
     "lavagno": _synthesise_lavagno,
@@ -158,7 +151,7 @@ def test_fuzzed_controllers_differential(text):
         return
     graph = build_state_graph(stg)
     signals = {}
-    for method in ("modular", "modular-jobs2", "modular-oneshot", "direct"):
+    for method in ("modular", "modular-oneshot", "direct"):
         result = METHODS[method](graph)
         check_synthesis(stg, graph, result)
         signals[method] = len(result.assignment.names)

@@ -3,16 +3,14 @@
 Usage::
 
     python tools/analyze_trace.py TRACE.jsonl[.gz]
-        [--tree] [--modules] [--critical-path] [--dispatch]
+        [--tree] [--modules] [--critical-path]
         [--min-seconds S] [--verify]
         [--flamegraph OUT.folded] [--chrome OUT.json]
 
-With no section flag all four sections print.  The journal may be a
-multi-segment concatenation (a ``--jobs N`` run: one self-contained
-segment per worker); spans are folded per segment and attributed
-together, and ``--dispatch`` sizes the parallel dispatch (parent
-``module_parallel`` wall vs the longest worker chain vs merge
-overhead).
+With no section flag all three sections print.  The journal may be a
+multi-segment concatenation (a ``repro.bench.table1 --jobs N`` run: one
+self-contained segment per worker); spans are folded per segment and
+attributed together.
 
 ``--verify`` checks the self-time arithmetic -- every span's self time
 plus its children's durations must equal its own duration within float
@@ -42,7 +40,6 @@ from repro.obs import (  # noqa: E402  (path bootstrap above)
     build_forest,
     chrome_trace,
     critical_path,
-    dispatch_summary,
     folded_stacks,
     format_attribution,
     format_critical_path,
@@ -70,10 +67,6 @@ def main(argv=None):
     parser.add_argument(
         "--critical-path", action="store_true",
         help="print the heaviest root-to-leaf span chain",
-    )
-    parser.add_argument(
-        "--dispatch", action="store_true",
-        help="print the parallel-dispatch summary (jobs > 1 traces)",
     )
     parser.add_argument(
         "--min-seconds", type=float, default=0.0, metavar="S",
@@ -122,9 +115,7 @@ def main(argv=None):
             return 1
 
     sections = []
-    everything = not (
-        args.tree or args.modules or args.critical_path or args.dispatch
-    )
+    everything = not (args.tree or args.modules or args.critical_path)
     if args.tree or everything:
         sections.append(format_tree(roots, min_seconds=args.min_seconds))
     if args.modules or everything:
@@ -135,8 +126,6 @@ def main(argv=None):
             sections.append("no module spans recorded")
     if args.critical_path or everything:
         sections.append(format_critical_path(critical_path(roots)))
-    if args.dispatch or everything:
-        sections.append(_format_dispatch(dispatch_summary(roots)))
     print("\n\n".join(sections))
 
     if args.flamegraph:
@@ -166,35 +155,6 @@ def main(argv=None):
             f"({len(document['traceEvents'])} events)"
         )
     return 0
-
-
-def _format_dispatch(summary):
-    """The dispatch dict as a small fixed-width table."""
-    lines = ["parallel dispatch:"]
-    if summary["parallel_seconds"] is None:
-        lines.append("  serial trace (no module_parallel span)")
-        if summary["worker_segments"]:
-            lines.append(
-                f"  worker segments    {summary['worker_segments']}"
-            )
-    else:
-        lines.append(
-            f"  dispatch wall      {summary['parallel_seconds']:.6f}s"
-        )
-        lines.append(
-            f"  worker segments    {summary['worker_segments']}"
-        )
-        busy = ", ".join(
-            f"{seconds:.6f}s" for seconds in summary["worker_busy_seconds"]
-        )
-        lines.append(f"  worker busy        [{busy}]")
-        lines.append(
-            f"  longest worker     {summary['longest_worker_seconds']:.6f}s"
-        )
-        lines.append(
-            f"  merge overhead     {summary['merge_seconds']:.6f}s"
-        )
-    return "\n".join(lines)
 
 
 if __name__ == "__main__":

@@ -12,11 +12,6 @@ tool promises (dispatched on the document's ``schema`` field):
 
 * ``repro-sat-bench/1`` -- ``speedup >= 1.3``, ``signals_agree``
   (``tools/bench_sat.py``);
-* ``repro-parallel-bench/1`` -- ``warm_cache_speedup >= 5``,
-  ``parallel_speedup >= 1.5`` when ``cores >= 2``, ``identical``
-  (``tools/bench_parallel.py``);
-* ``repro-crash-bench/1`` -- ``recovery_overhead < 0.25``,
-  ``identical`` (``tools/bench_crash.py``);
 * ``repro-service-bench/1`` -- ``server_5xx == 0``,
   ``duplicates_byte_identical``, the corpus and concurrency floors
   (``tools/loadtest.py``);
@@ -33,7 +28,7 @@ The compare mode takes a committed baseline and a freshly produced
 candidate of the *same* schema and flags per-metric deltas beyond a
 direction-aware tolerance (default 25%): a metric that should stay
 high (``speedup``) regresses by dropping, one that should stay low
-(``recovery_overhead``, wall-clock seconds) by rising.  Exit 0 when
+(wall-clock seconds, failure counts) by rising.  Exit 0 when
 everything holds, 1 otherwise -- CI gates on it exactly like the
 schema check.
 
@@ -60,8 +55,6 @@ _TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
 #: schema -> module holding its ``check_document`` (None = structural only).
 CHECKERS = {
     "repro-sat-bench/1": "bench_sat",
-    "repro-parallel-bench/1": "bench_parallel",
-    "repro-crash-bench/1": "bench_crash",
     "repro-service-bench/1": "loadtest",
     "repro-verify-bench/1": "fuzz_verify",
     "repro-bench/1": None,
@@ -75,15 +68,6 @@ TREND_METRICS = {
         "speedup": "higher",
         "incremental_seconds": "lower",
         "oneshot_fallbacks": "lower",
-    },
-    "repro-parallel-bench/1": {
-        "warm_cache_speedup": "higher",
-        "parallel_speedup": "higher",
-        "warm_seconds": "lower",
-    },
-    "repro-crash-bench/1": {
-        "recovery_overhead": "lower",
-        "faulted_parallel_seconds": "lower",
     },
     "repro-service-bench/1": {
         "throughput_rps": "higher",
@@ -103,7 +87,7 @@ TREND_METRICS = {
 }
 
 #: Relative slack is taken against max(|baseline|, this) so near-zero
-#: baselines (e.g. a negative recovery_overhead) still get real slack.
+#: baselines (e.g. a few milliseconds) still get real slack.
 ABS_FLOOR = 0.05
 
 

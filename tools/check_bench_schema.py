@@ -8,15 +8,8 @@ Exit 0 when every file conforms, 1 otherwise (problems on stderr).
 Deliberately dependency-free -- a hand-rolled structural check, not
 jsonschema -- so CI can run it on the bare bench image.
 
-Dispatches on the document's ``schema`` field: ``repro-bench/1`` (the
-Table-1 bench runner's artifact, specified below) gets the full check;
-``repro-crash-bench/1`` (``tools/bench_crash.py``) and
-``repro-parallel-bench/1`` (``tools/bench_parallel.py``) get a
-structure-only check here -- their producing tools' ``--check`` modes
-additionally enforce the committed thresholds (speedup floors, the
-recovery-overhead ceiling).
-
-Schema ``repro-bench/1``::
+Checks documents of schema ``repro-bench/1``, the Table-1 bench
+runner's artifact::
 
     {
       "schema": "repro-bench/1",
@@ -45,8 +38,6 @@ import json
 import sys
 
 SCHEMA = "repro-bench/1"
-CRASH_SCHEMA = "repro-crash-bench/1"
-PARALLEL_SCHEMA = "repro-parallel-bench/1"
 
 _ROW_REQUIRED = {
     "benchmark": str,
@@ -70,91 +61,10 @@ def _check_counters(mapping, where, problems):
             problems.append(f"{where}: bad counter entry {name!r}: {value!r}")
 
 
-def _check_flat_fields(document, spec, problems):
-    """Check a flat mapping of ``field -> kind`` where kind is one of
-    ``"posint"``, ``"nonnegint"``, ``"number"``, ``"bool"``, ``"names"``."""
-    for field, kind in spec.items():
-        value = document.get(field)
-        if kind == "posint":
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 1:
-                problems.append(f"{field} missing or not a positive int")
-        elif kind == "nonnegint":
-            if not isinstance(value, int) or isinstance(value, bool) \
-                    or value < 0:
-                problems.append(f"{field} missing or not a non-negative int")
-        elif kind == "number":
-            if not _is_number(value):
-                problems.append(f"{field} missing or not a number")
-        elif kind == "bool":
-            if not isinstance(value, bool):
-                problems.append(f"{field} missing or not a bool")
-        elif kind == "names":
-            if (not isinstance(value, list) or not value
-                    or not all(isinstance(n, str) for n in value)):
-                problems.append(f"{field} missing or not a list of names")
-
-
-def _check_crash_bench(document, problems):
-    """Structure-only check for ``repro-crash-bench/1``.
-
-    Thresholds (overhead ceiling, recovery minima) are enforced by
-    ``tools/bench_crash.py --check``.
-    """
-    _check_flat_fields(document, {
-        "cores": "posint", "jobs": "posint", "repeat": "posint",
-        "benchmarks": "names",
-        "serial_seconds": "number",
-        "clean_parallel_seconds": "number",
-        "faulted_parallel_seconds": "number",
-        "corrupted_records": "nonnegint",
-        "healed_records": "nonnegint",
-        "recovery_overhead": "number",
-        "identical": "bool",
-    }, problems)
-    recovery = document.get("recovery")
-    if not isinstance(recovery, dict):
-        problems.append("recovery missing or not an object")
-    else:
-        for field in ("worker_deaths", "module_retries",
-                      "pool_respawns", "serial_rescues"):
-            value = recovery.get(field)
-            if (not isinstance(value, int) or isinstance(value, bool)
-                    or value < 0):
-                problems.append(
-                    f"recovery.{field} missing or not a non-negative int"
-                )
-
-
-def _check_parallel_bench(document, problems):
-    """Structure-only check for ``repro-parallel-bench/1``.
-
-    Thresholds (speedup floors) are enforced by
-    ``tools/bench_parallel.py --check``.
-    """
-    _check_flat_fields(document, {
-        "cores": "posint", "jobs": "posint", "repeat": "posint",
-        "benchmarks": "names",
-        "serial_seconds": "number",
-        "parallel_seconds": "number",
-        "warm_seconds": "number",
-        "parallel_speedup": "number",
-        "warm_cache_speedup": "number",
-        "identical": "bool",
-    }, problems)
-
-
 def check_document(document, problems):
     """Append problem strings for every schema violation in ``document``."""
     if not isinstance(document, dict):
         problems.append("top level is not an object")
-        return
-    declared = document.get("schema")
-    if declared == CRASH_SCHEMA:
-        _check_crash_bench(document, problems)
-        return
-    if declared == PARALLEL_SCHEMA:
-        _check_parallel_bench(document, problems)
         return
     if document.get("schema") != SCHEMA:
         problems.append(

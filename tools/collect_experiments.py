@@ -17,6 +17,7 @@ from repro.bench.runner import (
 from repro.bench.suite import BENCHMARKS, load_benchmark
 from repro.csc.sat_csc import build_csc_formula
 from repro.csc.synthesis import modular_synthesis
+from repro.runtime.options import SynthesisOptions
 from repro.sat.solver import Limits
 from repro.stategraph.build import build_state_graph
 from repro.stategraph.csc import csc_lower_bound
@@ -34,6 +35,31 @@ def method_dict(row):
         "area": row.area,
         "cpu": round(row.cpu, 3),
     }
+
+
+def clause_study(names=("mr0", "mr1", "mmu0")):
+    """Direct vs largest modular formula size, per benchmark.
+
+    The direct formula is built at the CSC lower bound; the modular
+    sizes are every formula the (unminimised) modular run solved.
+    """
+    study = {}
+    for name in names:
+        graph = build_state_graph(load_benchmark(name))
+        m = max(1, int(csc_lower_bound(graph)))
+        direct_formula = build_csc_formula(graph, m)
+        result = modular_synthesis(
+            graph, options=SynthesisOptions(minimize=False)
+        )
+        sizes = result.formula_sizes()
+        largest = max(c for c, _v in sizes)
+        study[name] = {
+            "direct_clauses": direct_formula.num_clauses,
+            "direct_vars": direct_formula.num_vars,
+            "modular_sizes": sizes,
+            "ratio": round(direct_formula.num_clauses / largest, 1),
+        }
+    return study
 
 
 def main():
@@ -60,19 +86,7 @@ def main():
             "modular": modular, "direct": direct, "lavagno": lavagno,
         }
 
-    for name in ["mr0", "mr1", "mmu0"]:
-        graph = build_state_graph(load_benchmark(name))
-        m = max(1, int(csc_lower_bound(graph)))
-        direct_formula = build_csc_formula(graph, m)
-        result = modular_synthesis(graph, minimize=False)
-        sizes = result.formula_sizes()
-        largest = max(c for c, _v in sizes)
-        data["clause_study"][name] = {
-            "direct_clauses": direct_formula.num_clauses,
-            "direct_vars": direct_formula.num_vars,
-            "modular_sizes": sizes,
-            "ratio": round(direct_formula.num_clauses / largest, 1),
-        }
+    data["clause_study"] = clause_study()
 
     for baseline in ("direct", "lavagno"):
         delta = aggregate_area(rows_for_area, baseline_method=baseline)
