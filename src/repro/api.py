@@ -10,8 +10,8 @@ dataclasses with ``to_json``/``from_json`` round-trips under the
 response printed by ``python -m repro --json``, and a response parsed
 by a client are the same document.
 
-The schema is versioned the same way the bench artifacts are
-(``repro-bench/1``, ``repro-service-bench/1``): every document carries
+The schema is versioned the same way the verification campaign
+artifact is (``repro-verify-bench/1``): every document carries
 ``"schema": "repro-api/1"`` and ``from_json`` refuses anything else, so
 a future shape change bumps the tag instead of silently re-reading old
 documents.

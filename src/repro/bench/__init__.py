@@ -6,7 +6,8 @@ Those files are not redistributable, so this package re-creates the suite
 benchmarks and parametric master-read/MMU-style generators for the large
 ones, all sized to the paper's "Specifications" columns.
 
-* :mod:`repro.bench.generators` -- the phase-cycle STG builder.
+* :mod:`repro.bench.generators` -- the phase-cycle STG builder and the
+  scaling family.
 * :mod:`repro.bench.specs` -- the 23 benchmark definitions.
 * :mod:`repro.bench.suite` -- registry, paper numbers, ``.g`` loading.
 * :mod:`repro.bench.runner` -- per-benchmark method runs and Table-1 rows.

@@ -144,5 +144,27 @@ def build_g(name, inputs, outputs, cycle, internal=()):
     return "\n".join(lines) + "\n"
 
 
+def scaling_family(width):
+    """``.g`` source of a master-read-style controller of ``width`` lanes.
+
+    Each data-path lane is a half handshake ``d+ q+ ... d- q-`` that
+    keeps its codes monotone; one extra branch carries an echo-pulse
+    ``w+ w- w+`` whose code repeats, the family's single CSC conflict.
+    States grow about 3x per lane (22, 58, 166, 490 at widths 1-4)
+    while the conflict stays fixed, which isolates how each layer
+    scales with specification size.
+    """
+    lanes = range(1, width + 1)
+    rising = [[f"d{i}+", f"q{i}+"] for i in lanes] + [["w+", "w-", "w+"]]
+    falling = [[f"d{i}-", f"q{i}-"] for i in lanes] + [["w-"]]
+    return build_g(
+        f"family-{width}",
+        inputs=["r"] + [f"d{i}" for i in lanes],
+        outputs=["a", "e", "w"] + [f"q{i}" for i in lanes],
+        cycle=["r+", Par(*rising), "a+", "r-", Par(*falling), "a-",
+               "e+", "e-"],
+    )
+
+
 def _is_place(token):
     return token.startswith("p") and token[1:].isdigit()

@@ -4,40 +4,20 @@ Usage::
 
     python -m repro.bench.table1 [--methods modular,direct,lavagno]
                                  [--names mr0,nak-pa,...] [--no-minimize]
-                                 [--jobs N] [--trace FILE.jsonl]
-                                 [--bench-json TAG] [--out-dir DIR]
-                                 [--cache-dir DIR] [--no-cache]
 
 Prints, for every benchmark in the paper's row order, the measured
 results of each requested method next to the numbers the paper reports.
-``--jobs N`` spreads the benchmarks over N worker processes (one task
-per benchmark); the per-worker traces are merged, so ``--bench-json``
-output is shape-identical to a serial run -- but the per-row ``cpu``
-and span totals are then CPU time inside the workers, not wall clock
-of the whole run.  ``--trace`` journals the run's spans to a JSONL
-file (under ``--jobs`` the per-worker journals are concatenated into
-it, each a self-contained segment with its own header); ``--bench-json``
-additionally writes ``BENCH_<TAG>.json`` (rows + span summaries +
-run-wide counter totals, schema ``repro-bench/1``) into ``--out-dir``
-for CI to validate and archive.  ``--cache-dir`` points the modular
-method at a persistent :class:`~repro.perf.ResultCache`, so a repeated
-run (same checkout, same options) is warm; ``--no-cache`` ignores it.
+The specification column gives the measured state count with the
+paper's in parentheses (the benchmark STGs are re-creations, DESIGN.md
+§4).  Speed is measured by ``perfbench/`` (``BENCHMARK.json``), not here.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 
-from repro import obs
-from repro.bench.runner import (
-    aggregate_area,
-    table_rows,
-    table_rows_parallel,
-    write_bench_json,
-)
+from repro.bench.runner import aggregate_area, table_rows
 from repro.bench.suite import BENCHMARKS
-from repro.obs import counter_totals, journal_open, stats_as_dict
 
 _PAPER_METHODS = {
     "modular": lambda info: info.ours,
@@ -57,18 +37,20 @@ def _fmt(value, width, precision=None):
 def format_table(rows, methods):
     """Render measured-vs-paper rows as a fixed-width text table."""
     lines = []
-    header = f"{'benchmark':16} {'st':>4} {'sig':>4}"
+    header = f"{'benchmark':16} {'st (paper)':>10} {'sig':>4}"
     for method in methods:
         header += f" | {method:^33}"
     lines.append(header)
-    sub = f"{'':16} {'':>4} {'':>4}"
+    sub = f"{'':16} {'':>10} {'':>4}"
     for _ in methods:
         sub += f" | {'sig':>4} {'st':>5} {'area':>5} {'cpu':>7} {'paper':>7}"
     lines.append(sub)
     lines.append("-" * len(sub))
     for name, per_method in rows.items():
         info = BENCHMARKS[name]
-        line = f"{name:16} {info.initial_states:>4} {info.initial_signals:>4}"
+        spec = next(iter(per_method.values()))
+        states = f"{spec.initial_states} ({info.initial_states})"
+        line = f"{name:16} {states:>10} {spec.initial_signals:>4}"
         for method in methods:
             row = per_method[method]
             paper = _PAPER_METHODS[method](info)
@@ -89,24 +71,6 @@ def format_table(rows, methods):
     return "\n".join(lines)
 
 
-def _merge_journals(journals, target):
-    """Concatenate per-worker journals into ``target``, then drop them.
-
-    Each worker's journal is a complete JSONL trace (its own header
-    event, its own span-id space); the merged file is a sequence of
-    such self-contained segments, which is what the aggregation tools
-    fold by span *name* anyway.  A ``.gz`` target (or part) is handled
-    transparently via :func:`repro.obs.journal_open`.
-    """
-    with journal_open(target, "w") as out:
-        for journal in journals:
-            if not os.path.exists(journal):
-                continue
-            with journal_open(journal, "r") as part:
-                out.write(part.read())
-            os.remove(journal)
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -121,36 +85,14 @@ def main(argv=None):
         "--no-minimize", action="store_true",
         help="skip two-level minimisation (omits the area columns)",
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes (one benchmark per task; default 1)",
-    )
-    parser.add_argument(
-        "--trace", metavar="FILE.jsonl", default=None,
-        help="write a JSONL span journal of the whole run",
-    )
-    parser.add_argument(
-        "--bench-json", metavar="TAG", default=None,
-        help="write BENCH_<TAG>.json (rows + span summaries)",
-    )
-    parser.add_argument(
-        "--out-dir", metavar="DIR", default=".",
-        help="directory for BENCH_<TAG>.json (default: cwd)",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="persistent result cache for the modular method",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="ignore --cache-dir for this run",
-    )
     args = parser.parse_args(argv)
 
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     unknown = set(methods) - set(_PAPER_METHODS)
     if unknown:
         parser.error(f"unknown methods: {sorted(unknown)}")
+    if not methods:
+        parser.error("--methods names no method")
     names = None
     if args.names:
         names = [n.strip() for n in args.names.split(",") if n.strip()]
@@ -158,44 +100,10 @@ def main(argv=None):
         if missing:
             parser.error(f"unknown benchmarks: {sorted(missing)}")
 
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-
-    cache_dir = None if args.no_cache else args.cache_dir
-    spans = trace_counters = None
-    if args.jobs > 1:
-        rows, stats, journals = table_rows_parallel(
-            names=names, methods=methods, minimize=not args.no_minimize,
-            jobs=args.jobs, journal_prefix=args.trace,
-            cache_dir=cache_dir,
-        )
-        if args.trace:
-            _merge_journals(journals, args.trace)
-        spans = stats_as_dict(stats)
-        trace_counters = counter_totals(stats).as_dict()
-        tracer = None
-    else:
-        observe = bool(args.trace or args.bench_json)
-        tracer = (
-            obs.install(obs.Tracer(journal=args.trace)) if observe else None
-        )
-        try:
-            rows = table_rows(
-                names=names, methods=methods, minimize=not args.no_minimize,
-                cache_dir=cache_dir,
-            )
-        finally:
-            if tracer is not None:
-                obs.uninstall()
-                tracer.close()
+    rows = table_rows(
+        names=names, methods=methods, minimize=not args.no_minimize,
+    )
     print(format_table(rows, methods))
-
-    if args.bench_json:
-        path = write_bench_json(
-            rows, args.bench_json, out_dir=args.out_dir, tracer=tracer,
-            spans=spans, trace_counters=trace_counters,
-        )
-        print(f"wrote {path}")
 
     if not args.no_minimize and "modular" in methods:
         for baseline in ("direct", "lavagno"):

@@ -11,9 +11,8 @@ package is that layer, with zero third-party dependencies:
   -> sat_attempt``) with an optional JSONL journal; installed process-
   wide like the fault registry, and a near-no-op when disabled;
 * :mod:`repro.obs.metrics` -- :class:`Counters`, the typed counter bag
-  carried by :class:`~repro.sat.solver.SolveResult`,
-  :class:`~repro.runtime.report.RunReport` and
-  :class:`~repro.bench.runner.MethodRow` alike;
+  carried by :class:`~repro.sat.solver.SolveResult` and
+  :class:`~repro.runtime.report.RunReport` alike;
 * :mod:`repro.obs.timer` -- :class:`Stopwatch`, the one
   ``time.perf_counter()`` pattern, shared by every engine and driver;
 * :mod:`repro.obs.journal` -- reading/validating JSONL journals
@@ -79,7 +78,6 @@ from repro.obs.profile import (
     counter_totals,
     format_counters,
     format_profile,
-    merge_stats,
     stats_as_dict,
     top_spans,
     with_derived,
@@ -137,7 +135,6 @@ __all__ = [
     "install",
     "journal_open",
     "load_journal",
-    "merge_stats",
     "module_attribution",
     "name_attribution",
     "observe",

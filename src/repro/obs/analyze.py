@@ -3,9 +3,8 @@
 The journal (and the live tracer's retained event list) is a flat
 stream of span ``start``/``end`` records.  This module folds that
 stream into a **forest of span trees** -- one tree list per journal
-*segment* (a single run has one segment; ``repro.bench.table1 --jobs N``
-concatenates one per worker) -- and answers the questions raw profiles
-cannot:
+*segment* (a single run has one segment; concatenated journals have
+one per run) -- and answers the questions raw profiles cannot:
 
 * **Self time vs child time.**  A span's profile total includes its
   children; a ``module`` span's 0.4 s may be 0.39 s of ``sat_attempt``.

@@ -9,8 +9,8 @@ One journal, three ecosystems:
   the flame rectangles are wall clock, not call counts.
 * :func:`chrome_trace` -- the Chrome trace-event JSON object format
   (loadable in Perfetto / ``chrome://tracing``).  Journal segments map
-  to threads of one process, so a ``repro.bench.table1 --jobs N``
-  journal renders as one lane per worker.
+  to threads of one process, so concatenated journals
+  (``cat a.jsonl b.jsonl``) render as one lane per run.
 * :func:`prometheus_text` -- the Prometheus text exposition format
   (version 0.0.4) over the whole metric registry: counters (rendered
   with the conventional ``_total`` suffix), histograms (cumulative
@@ -18,10 +18,9 @@ One journal, three ecosystems:
   This is the scrape substrate for the synthesis-as-a-service front
   end the ROADMAP plans.
 
-Each exporter has a paired ``validate_*`` checker in the style of
-``tools/check_bench_schema.py`` -- dependency-free structural
-validation returning a list of problem strings -- so CI can gate on
-artifact well-formedness without third-party parsers.
+Each exporter has a paired ``validate_*`` checker -- dependency-free
+structural validation returning a list of problem strings -- so CI can
+gate on artifact well-formedness without third-party parsers.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ def folded_stacks(roots, per_segment=False):
 
     Identical name-paths aggregate (their self-time microseconds sum),
     which is what folded format means; ``per_segment=True`` prefixes
-    each stack with ``segmentN`` so worker lanes stay distinguishable.
+    each stack with ``segmentN`` so the segments stay distinguishable.
     Spans whose self time rounds to zero microseconds are dropped --
     they would render as zero-width rectangles anyway.
 
@@ -103,7 +102,7 @@ def chrome_trace(roots, events=()):
     of one process, with ``M`` metadata events naming the lanes.
     Timestamps are the journal's segment-relative seconds in
     microseconds -- lanes align at zero, which is the useful alignment
-    for comparing worker timelines.
+    for comparing the timelines of concatenated runs.
     """
     trace_events = []
     segments = set()

@@ -3,13 +3,14 @@
 The journal a :class:`~repro.obs.tracer.Tracer` writes is a plain JSONL
 stream: a ``trace`` header, then ``start``/``end`` records per span and
 ``point`` records for instant events.  This module is the read side --
-used by ``tools/summarize_trace.py``, the CI schema check, and the tests
-that assert a journal is well-formed even when the traced run failed.
+used by ``tools/summarize_trace.py``, ``tools/analyze_trace.py`` and
+the tests that assert a journal is well-formed even when the traced run
+failed.
 
-A journal may also be a **concatenation** of several complete journals:
-the parallel bench runner (``table1 --jobs N``) merges one self-contained
-journal per worker into a single file.  Every ``trace`` header starts a
-new *segment*, and the rules below hold per segment.
+A journal may also be a **concatenation** of several complete journals
+(``cat a.jsonl b.jsonl``, one self-contained journal per run).  Every
+``trace`` header starts a new *segment*, and the rules below hold per
+segment.
 
 Journals whose path ends in ``.gz`` are gzip-compressed, transparently
 on both sides: :func:`journal_open` is the one open helper the tracer's

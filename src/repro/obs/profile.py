@@ -35,25 +35,6 @@ class SpanStats:
         if counters:
             self.counters.merge(counters)
 
-    def merge(self, other):
-        """Fold another :class:`SpanStats` of the same name in."""
-        self.count += other.count
-        self.total_seconds += other.total_seconds
-        if other.max_seconds > self.max_seconds:
-            self.max_seconds = other.max_seconds
-        self.counters.merge(other.counters)
-        return self
-
-    @classmethod
-    def from_dict(cls, name, data):
-        """Rebuild from an :meth:`as_dict` snapshot (journal/worker side)."""
-        entry = cls(name)
-        entry.count = int(data.get("count", 0))
-        entry.total_seconds = float(data.get("total_seconds", 0.0))
-        entry.max_seconds = float(data.get("max_seconds", 0.0))
-        entry.counters.merge(data.get("counters") or {})
-        return entry
-
     @property
     def mean_seconds(self):
         return self.total_seconds / self.count if self.count else 0.0
@@ -94,26 +75,6 @@ def aggregate_events(events):
     return stats
 
 
-def merge_stats(snapshots):
-    """Merge per-process profile snapshots into ``{name: SpanStats}``.
-
-    Each snapshot is the JSON-ready mapping :func:`stats_as_dict` (or
-    ``Tracer.stats_dict``) produces -- the form bench workers can ship
-    across a process boundary.  Folding is name-wise: counts, totals and
-    counters sum; ``max_seconds`` takes the maximum.
-    """
-    merged = {}
-    for snapshot in snapshots:
-        for name, data in (snapshot or {}).items():
-            entry = SpanStats.from_dict(name, data)
-            existing = merged.get(name)
-            if existing is None:
-                merged[name] = entry
-            else:
-                existing.merge(entry)
-    return merged
-
-
 def counter_totals(stats):
     """Sum every span's counters into one :class:`Counters` bag."""
     totals = Counters()
@@ -138,9 +99,9 @@ def with_derived(totals):
     Cache hit rates (``result_cache_hit_rate``,
     ``proj_cache_hit_rate``) are computed from the raw hit/miss
     counters whenever at least one lookup happened, so ``--metrics``
-    output and ``BENCH_<tag>.json`` ``trace_counters`` surface cache
+    output and the service's ``/metrics`` page surface cache
     effectiveness without a journal read.  Ratios are derived at
-    reporting time only -- they are never merged (a merged ratio would
+    reporting time only -- they are never summed (a summed ratio would
     be meaningless).
     """
     out = Counters()
@@ -197,5 +158,5 @@ def format_counters(totals):
 
 
 def stats_as_dict(stats):
-    """JSON-ready ``{name: stats}`` mapping (for ``BENCH_*.json``)."""
+    """JSON-ready ``{name: stats}`` mapping, sorted by span name."""
     return {name: stats[name].as_dict() for name in sorted(stats)}

@@ -279,7 +279,7 @@ class Tracer:
 
         Buckets come from
         :data:`~repro.obs.metrics.HISTOGRAM_BUCKETS` (or the default
-        set), so worker and parent histograms always merge.
+        set).
         """
         hist = self.histograms.get(name)
         if hist is None:
@@ -290,8 +290,8 @@ class Tracer:
     def gauge(self, name, value, mode="max", **labels):
         """Set the named (and optionally labelled) gauge.
 
-        The default ``max`` mode keeps the high-water mark across sets
-        and merges; ``mode="last"`` is last-write-wins.
+        The default ``max`` mode keeps the high-water mark across sets;
+        ``mode="last"`` is last-write-wins.
         """
         key = gauge_key(name, labels)
         entry = self.gauges.get(key)
@@ -311,7 +311,7 @@ class Tracer:
         return top_spans(self.stats, n)
 
     def stats_dict(self):
-        """JSON-ready profile snapshot (for ``BENCH_*.json``)."""
+        """JSON-ready profile snapshot, sorted by span name."""
         return stats_as_dict(self.stats)
 
     def close(self):

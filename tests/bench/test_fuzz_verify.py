@@ -1,4 +1,4 @@
-"""The fuzz-verify campaign tool: artifact shape, gates, dispatch."""
+"""The fuzz-verify campaign tool: artifact shape and gates."""
 
 import copy
 import importlib.util
@@ -21,7 +21,6 @@ def _load(name):
 
 
 fuzz_verify = _load("fuzz_verify")
-bench_trend = _load("bench_trend")
 
 #: One full pass over the synthesis matrix (8 cells).
 COUNT = len(fuzz_verify.MATRIX)
@@ -101,17 +100,6 @@ def test_check_rejects_regressions(document):
         "floor" in p
         for p in fuzz_verify.check_document(short, min_count=COUNT + 1)
     )
-
-
-def test_bench_trend_dispatches_the_schema(document):
-    # Too few rows for the committed floor fails through the watchdog...
-    problems = bench_trend.check_artifact(document)
-    assert any("floor" in p for p in problems)
-    # ...and the trend metrics are registered for the schema.
-    metrics = bench_trend.trend_metrics(document)
-    assert set(metrics) == {
-        "verified_rate", "verify_failures", "mutants_caught"
-    }
 
 
 def test_check_cli_round_trip(tmp_path, document):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.generators import Choice, Par, build_g
+from repro.bench.generators import Choice, Par, build_g, scaling_family
 from repro.stg import parse_g, validate_stg
 from repro.stategraph import build_state_graph
 
@@ -59,6 +59,15 @@ def test_marking_on_cycle_closing_arc():
         cycle=["a+", "b+", "a-", "b-"],
     )
     assert ".marking { <b-,a+> }" in text
+
+
+def test_scaling_family_sizes_are_pinned():
+    # About 3x states per lane.
+    sizes = [
+        build_state_graph(parse_g(scaling_family(width))).num_states
+        for width in (1, 2, 3, 4)
+    ]
+    assert sizes == [22, 58, 166, 490]
 
 
 class TestErrors:

@@ -12,6 +12,9 @@ def test_format_table_shape():
     assert "vbe-ex1" in text
     assert "modular" in text
     assert "paper" in text
+    # The spec column is the measured state count, the paper's after it.
+    line = next(l for l in text.splitlines() if l.startswith("vbe-ex1"))
+    assert "6 (5)" in line
 
 
 def test_cli_runs_on_subset(capsys):
@@ -41,6 +44,11 @@ def test_cli_no_minimize_skips_summary(capsys):
 def test_cli_rejects_unknown_method():
     with pytest.raises(SystemExit):
         main(["--methods", "quantum"])
+
+
+def test_cli_rejects_empty_method_list():
+    with pytest.raises(SystemExit):
+        main(["--methods", ","])
 
 
 def test_cli_rejects_unknown_benchmark():

@@ -119,36 +119,6 @@ def test_histogram_cumulative_ends_at_infinity_with_full_count():
     ]
 
 
-def test_histogram_merge_is_bucketwise_and_requires_equal_bounds():
-    left = Histogram("formula_clauses")
-    right = Histogram("formula_clauses")
-    left.observe(60)
-    right.observe(60)
-    right.observe(9999)
-    left.merge(right)
-    assert left.count == 3
-    assert left.total == pytest.approx(60 + 60 + 9999)
-    with pytest.raises(ValueError):
-        left.merge(Histogram("other", bounds=(1.0,)))
-
-
-def test_histogram_dict_round_trip():
-    hist = Histogram("sat_attempt_seconds")
-    hist.observe(0.003)
-    hist.observe(42.0)
-    clone = Histogram.from_dict("sat_attempt_seconds", hist.as_dict())
-    assert clone.bounds == hist.bounds
-    assert clone.counts == hist.counts
-    assert clone.count == 2
-    assert clone.total == pytest.approx(hist.total)
-
-
-def test_histogram_from_dict_rejects_mismatched_buckets():
-    data = {"bounds": [1.0, 2.0], "counts": [1], "sum": 1.0, "count": 1}
-    with pytest.raises(ValueError):
-        Histogram.from_dict("x", data)
-
-
 # -- gauges -----------------------------------------------------------------
 
 
@@ -170,25 +140,11 @@ def test_gauge_last_mode_is_last_write_wins():
         Gauge("x", mode="median")
 
 
-def test_gauge_merge_follows_declared_mode():
-    parent = Gauge("peak_memory_bytes", labels={"span": "run"})
-    parent.set(100)
-    worker = Gauge("peak_memory_bytes", labels={"span": "run"})
-    worker.set(300)
-    parent.merge(worker)
-    assert parent.value == 300.0
-    parent.merge(Gauge("peak_memory_bytes"))  # unset merges are no-ops
-    assert parent.value == 300.0
-
-
 def test_gauge_keys_include_sorted_labels():
     bare = Gauge("x")
     labelled = Gauge("x", labels={"b": 2, "a": 1})
     assert bare.key() == "x"
     assert labelled.key() == "x{a=1,b=2}"
-    clone = Gauge.from_dict("x", labelled.as_dict())
-    assert clone.key() == labelled.key()
-    assert clone.value is None
 
 
 # -- derived metrics --------------------------------------------------------

@@ -204,7 +204,7 @@ def test_three_worker_segments_fold_in_order_live_and_on_disk():
     from repro.obs.journal import read_events, validate_events
 
     # A parent journal followed by three worker journals, concatenated
-    # the way ``repro.bench.table1 --jobs N`` merges per-worker files.
+    # the way ``cat a.jsonl b.jsonl`` joins per-run journals.
     parent_sink = io.StringIO()
     parent = Tracer(journal=parent_sink, clock=FakeClock(),
                     keep_events=True)
@@ -229,8 +229,8 @@ def test_three_worker_segments_fold_in_order_live_and_on_disk():
 
 
 def test_live_stats_match_stats_rebuilt_from_the_merged_journal():
-    from repro.obs import aggregate_events, merge_stats, stats_as_dict
-    from repro.obs.journal import read_events
+    from repro.obs import aggregate_events, stats_as_dict
+    from repro.obs.journal import read_events, split_segments
 
     parent_sink = io.StringIO()
     parent = Tracer(journal=parent_sink, clock=FakeClock())
@@ -245,10 +245,13 @@ def test_live_stats_match_stats_rebuilt_from_the_merged_journal():
         tracers.append(worker)
         texts.append(text)
 
-    live = merge_stats(tracer.stats_dict() for tracer in tracers)
-    rebuilt = aggregate_events(read_events(io.StringIO("".join(texts))))
-    assert stats_as_dict(live) == stats_as_dict(rebuilt)
-    assert live["module"].count == 4
+    merged = read_events(io.StringIO("".join(texts)))
+    segments = split_segments(merged)
+    assert len(segments) == len(tracers)
+    for tracer, (_position, events) in zip(tracers, segments):
+        assert tracer.stats_dict() == stats_as_dict(aggregate_events(events))
+    rebuilt = aggregate_events(merged)
+    assert rebuilt["module"].count == 4
     assert rebuilt["module"].counters["decisions"] == 9 + 1 + 2 + 3
 
 

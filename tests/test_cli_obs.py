@@ -213,21 +213,23 @@ def test_summarize_trace_diagnoses_truncated_journal(spec, tmp_path,
     assert "Traceback" not in captured.err
 
 
-def test_analyze_trace_tool_attributes_parallel_journal(tmp_path, capsys):
-    # ``repro.bench.table1 --jobs 2`` concatenates one self-contained
-    # journal per worker: the multi-segment journal the tool must fold.
-    from repro.bench.table1 import main as table1_main
-
-    trace = tmp_path / "jobs.jsonl"
-    assert table1_main([
-        "--names", "vbe-ex1,nousc-ser", "--methods", "modular",
-        "--no-minimize", "--jobs", "2", "--trace", str(trace),
-    ]) == 0
+def test_analyze_trace_tool_attributes_parallel_journal(spec, tmp_path,
+                                                         capsys):
+    # Two CLI journals concatenated (``cat a.jsonl b.jsonl``): the
+    # multi-segment journal the tool must fold.
+    parts = []
+    for method in ("modular", "direct"):
+        part = tmp_path / f"{method}.jsonl"
+        assert main([spec, "--quiet", "--method", method,
+                     "--trace", str(part)]) == 0
+        parts.append(part.read_text())
+    trace = tmp_path / "both.jsonl"
+    trace.write_text("".join(parts))
     capsys.readouterr()
 
     module = _load_tool("analyze_trace")
-    folded = tmp_path / "jobs.folded"
-    chrome = tmp_path / "jobs.chrome.json"
+    folded = tmp_path / "both.folded"
+    chrome = tmp_path / "both.chrome.json"
     assert module.main([str(trace), "--verify",
                         "--flamegraph", str(folded),
                         "--chrome", str(chrome)]) == 0
@@ -240,4 +242,4 @@ def test_analyze_trace_tool_attributes_parallel_journal(tmp_path, capsys):
         event["args"]["name"] for event in document["traceEvents"]
         if event["ph"] == "M"
     }
-    assert "worker segment 1" in lanes  # both worker journals folded
+    assert lanes == {"main", "worker segment 1"}  # both journals folded

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro.baselines import lavagno_synthesis
-from repro.bench import load_benchmark
+from repro.bench import benchmark_names, load_benchmark
 from repro.csc import direct_synthesis, modular_synthesis
 from repro.runtime.options import SynthesisOptions
 from repro.stategraph import build_state_graph, csc_conflicts, quotient
@@ -118,11 +118,11 @@ def test_warm_cache_differential(tmp_path):
         check_synthesis(source, graph, result)
 
 
-@pytest.mark.parametrize("name", DIFFERENTIAL_BENCHMARKS)
+@pytest.mark.parametrize("name", benchmark_names())
 def test_sat_modes_agree(name):
-    # The incremental solver must be a pure accelerant: the same final
-    # state-signal count as the cold one-shot loop, and rows that pass
-    # the full behavioural contract.
+    # The incremental solver must be a pure accelerant: on every Table-1
+    # spec, the same final state-signal count as the cold one-shot loop,
+    # and rows that pass the full behavioural contract.
     stg = load_benchmark(name)
     graph = build_state_graph(stg)
     per_mode = {}

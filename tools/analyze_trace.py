@@ -8,8 +8,8 @@ Usage::
         [--flamegraph OUT.folded] [--chrome OUT.json]
 
 With no section flag all three sections print.  The journal may be a
-multi-segment concatenation (a ``repro.bench.table1 --jobs N`` run: one
-self-contained segment per worker); spans are folded per segment and
+multi-segment concatenation (``cat a.jsonl b.jsonl``: one
+self-contained segment per run); spans are folded per segment and
 attributed together.
 
 ``--verify`` checks the self-time arithmetic -- every span's self time

@@ -26,7 +26,9 @@ level ``hazards``) on every result.  Three legs land in one artifact,
 repository commits to: zero verifier failures, zero errors, zero
 inconclusive rows, full matrix coverage, all Table-1 circuits verified
 (or journalled exceptions), at least one caught-and-replayed mutant,
-and at least ``MIN_COUNT`` fuzzed circuits.  A bare ``--check`` after a
+and at least ``MIN_COUNT`` fuzzed circuits.  :func:`check_document` is
+the one checker of the committed ``BENCH_verify.json``: CI's verify-fuzz
+job runs ``--check BENCH_verify.json``.  A bare ``--check`` after a
 campaign self-validates the fresh artifact with the floor scaled to
 ``--count`` (the CI smoke mode).
 
