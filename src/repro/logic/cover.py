@@ -4,6 +4,12 @@ A cube over ``n`` variables is a tuple of ``n`` entries drawn from
 ``{0, 1, DASH}``: 0 and 1 are literals, :data:`DASH` means the variable is
 absent.  A cover is an ordered list of cubes implementing the union of
 their minterm sets.
+
+The bit-parallel kernels (the minimizer, the gate-level circuit) work on
+ints instead, and this module owns that layout: position ``i`` is bit
+``i``.  A minterm packs to one int (:func:`pack_minterm`); a cube to a
+``(value, care)`` pair (:meth:`Cube.mask`, :meth:`Cube.from_mask`), so a
+packed minterm ``m`` lies inside it exactly when ``not (m ^ value) & care``.
 """
 
 from __future__ import annotations
@@ -13,6 +19,14 @@ DASH = 2
 
 _CHARS = {0: "0", 1: "1", DASH: "-"}
 _VALUES = {"0": 0, "1": 1, "-": DASH, "2": DASH}
+
+
+def pack_minterm(bits):
+    """The int whose bit ``i`` is ``bits[i]`` (a sequence of 0/1)."""
+    value = 0
+    for bit in reversed(bits):
+        value = value << 1 | bit
+    return value
 
 
 class Cube:
@@ -56,6 +70,23 @@ class Cube:
     def from_minterm(cls, bits):
         """A cube with every variable bound (a minterm)."""
         return cls(bits)
+
+    @classmethod
+    def from_mask(cls, value, care, n):
+        """The cube over ``n`` variables of a ``(value, care)`` int pair."""
+        return cls(
+            value >> i & 1 if care >> i & 1 else DASH for i in range(n)
+        )
+
+    def mask(self):
+        """``(value, care)`` ints: bit ``i`` of ``care`` is set where
+        position ``i`` is bound, and ``value`` holds the bound literals
+        (it is always masked by ``care``)."""
+        value = care = 0
+        for p in reversed(self.positions):
+            value = value << 1 | (p == 1)
+            care = care << 1 | (p != DASH)
+        return value, care
 
     @property
     def n(self):

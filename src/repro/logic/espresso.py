@@ -8,16 +8,28 @@ prime against the OFF-set, extract an IRREDUNDANT subset, REDUCE cubes to
 the smallest cube covering their essential minterms, and iterate while
 the literal count improves.
 
-Internally cubes are ``(value, care)`` integer bit masks, which keeps the
-inner containment checks O(1); the public API speaks
-:class:`~repro.logic.cover.Cube`/:class:`~repro.logic.cover.Cover`.
+Internally cubes are ``(value, care)`` integer bit masks in the layout
+:mod:`repro.logic.cover` owns, which keeps the inner containment checks
+O(1); the public API speaks :class:`~repro.logic.cover.Cube`/
+:class:`~repro.logic.cover.Cover`.
+
+EXPAND asks, for every literal it tries to raise, whether the raised cube
+meets the OFF-set.  Each call builds the OFF-set's *column bitsets* once:
+for every variable ``i``, two ints over the OFF-set's indices, one with
+bit ``j`` set where OFF minterm ``j`` has variable ``i`` at 0 and one
+where it is 1.  A cube meets the OFF-set exactly when the AND of its
+cared variables' columns, each picked by the cube's value bit, is
+non-zero, so a raise trial is a handful of big-int ANDs instead of a scan
+of the OFF-set.
 """
 
 from __future__ import annotations
 
-from repro.logic.cover import DASH, Cover, Cube
+from repro import obs
+from repro.logic.cover import Cover, Cube, pack_minterm
 
 _MAX_ROUNDS = 6
+_BINARY = frozenset((0, 1))
 
 
 def espresso(onset, offset, n):
@@ -48,21 +60,24 @@ def espresso(onset, offset, n):
 
     full_mask = (1 << n) - 1
     cubes = [(m, full_mask) for m in on_ints]
+    off_columns = _offset_columns(off_ints, n)
 
     best = None
     for round_index in range(_MAX_ROUNDS):
-        order = _var_order(n, round_index)
-        cubes = _expand(cubes, off_ints, order)
-        cubes = _remove_covered(cubes)
-        cubes = _irredundant(cubes, on_ints)
+        with obs.span("expand"):
+            cubes = _expand(cubes, off_columns, _var_order(n, round_index))
+            cubes = _remove_covered(cubes)
+        with obs.span("irredundant"):
+            cubes = _irredundant(cubes, on_ints)
         cost = _cost(cubes)
         if best is None or cost < best[0]:
             best = (cost, list(cubes))
         else:
             break
-        cubes = _reduce(cubes, on_ints, full_mask)
+        with obs.span("reduce"):
+            cubes = _reduce(cubes, on_ints, full_mask)
     cubes = best[1]
-    return Cover(n, (_to_cube(value, care, n) for value, care in cubes))
+    return Cover(n, (Cube.from_mask(value, care, n) for value, care in cubes))
 
 
 def verify_cover(cover, onset, offset):
@@ -87,24 +102,9 @@ def verify_cover(cover, onset, offset):
 def _to_int(bits, n):
     if len(bits) != n:
         raise ValueError(f"minterm {bits} does not have {n} bits")
-    value = 0
-    for i, bit in enumerate(bits):
-        if bit not in (0, 1):
-            raise ValueError(f"minterm {bits} has non-binary entry")
-        if bit:
-            value |= 1 << i
-    return value
-
-
-def _to_cube(value, care, n):
-    positions = []
-    for i in range(n):
-        bit = 1 << i
-        if care & bit:
-            positions.append(1 if value & bit else 0)
-        else:
-            positions.append(DASH)
-    return Cube(positions)
+    if not _BINARY.issuperset(bits):
+        raise ValueError(f"minterm {bits} has non-binary entry")
+    return pack_minterm(bits)
 
 
 def _var_order(n, round_index):
@@ -116,52 +116,74 @@ def _var_order(n, round_index):
     return order
 
 
-def _intersects_offset(value, care, off_ints):
-    for m in off_ints:
-        if not (m ^ value) & care:
-            return True
-    return False
+def _offset_columns(off_ints, n):
+    """The OFF-set as column bitsets: ``(everything, columns)``.
+
+    ``columns[i][b]`` has bit ``j`` set exactly when ``off_ints[j]`` has
+    value ``b`` at variable ``i``; ``everything`` has every index set.
+    """
+    everything = (1 << len(off_ints)) - 1
+    columns = []
+    for i in range(n):
+        ones = 0
+        for j, m in enumerate(off_ints):
+            if m >> i & 1:
+                ones |= 1 << j
+        columns.append((everything ^ ones, ones))
+    return everything, columns
 
 
-def _expand(cubes, off_ints, order):
-    """Raise every cube to a prime against the OFF-set."""
+def _expand(cubes, off_columns, order):
+    """Raise every cube to a prime against the OFF-set.
+
+    ``off_columns`` is :func:`_offset_columns`'s pair.  Literals are tried
+    in ``order``; raising one succeeds when the cube without it misses the
+    OFF-set, i.e. when the columns of the literals kept so far (``kept``)
+    AND those not tried yet (``untried[k]``) share no OFF index.
+    """
+    everything, columns = off_columns
     expanded = []
     for value, care in cubes:
-        for i in order:
-            bit = 1 << i
-            if not care & bit:
-                continue
-            new_care = care & ~bit
-            if not _intersects_offset(value & new_care, new_care, off_ints):
-                care = new_care
-                value &= new_care
-        expanded.append((value, care))
+        cared = [i for i in order if care >> i & 1]
+        picked = [columns[i][value >> i & 1] for i in cared]
+        untried = [everything] * (len(cared) + 1)
+        for k in range(len(cared) - 1, -1, -1):
+            untried[k] = untried[k + 1] & picked[k]
+        kept = everything
+        for k, i in enumerate(cared):
+            if kept & untried[k + 1]:
+                kept &= picked[k]
+            else:
+                care &= ~(1 << i)
+        expanded.append((value & care, care))
     return expanded
 
 
-def _covers(a, b):
-    """Cube ``a`` covers cube ``b``."""
-    value_a, care_a = a
-    value_b, care_b = b
-    return not (care_a & ~care_b) and not ((value_a ^ value_b) & care_a)
-
-
 def _remove_covered(cubes):
+    """Drop every cube another cube contains; of duplicates keep the first.
+
+    Every cube's value is masked by its care (``_expand`` and
+    ``_supercube`` guarantee it), so a cube ``(v', c')`` contains a
+    different cube ``(v, c)`` exactly when ``c' ⊊ c`` and ``v & c' == v'``
+    (equal care masks would make the two cubes equal).  Values are
+    grouped by care mask, so each cube is tested once per strictly
+    smaller mask instead of once per cube.  Survivors keep their order.
+    """
+    values = {}
+    for value, care in cubes:
+        values.setdefault(care, set()).add(value)
+    smaller = {
+        care: [c for c in values if c != care and not c & ~care]
+        for care in values
+    }
+    seen = set()
     result = []
-    for i, cube in enumerate(cubes):
-        redundant = False
-        for j, other in enumerate(cubes):
-            if j == i:
-                continue
-            if other == cube:
-                if j < i:  # keep only the first duplicate
-                    redundant = True
-                    break
-                continue
-            if _covers(other, cube):
-                redundant = True
-                break
-        if not redundant:
+    for cube in cubes:
+        if cube in seen:
+            continue
+        seen.add(cube)
+        value, care = cube
+        if not any(value & c in values[c] for c in smaller[care]):
             result.append(cube)
     return result
 

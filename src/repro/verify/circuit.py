@@ -4,9 +4,15 @@ Each non-input signal is one complex gate computing its next-state
 function from the current values of *all* signals (the standard
 speed-independent implementation style the paper targets: the state
 signals' covers feed back like any other signal).
+
+Gates evaluate on ints: each cover is compiled once to ``(value, care)``
+cubes and a value vector is packed into one int per evaluation, in the
+bit layout :mod:`repro.logic.cover` owns.
 """
 
 from __future__ import annotations
+
+from repro.logic.cover import pack_minterm
 
 
 class Circuit:
@@ -43,6 +49,12 @@ class Circuit:
                     f"expected {len(self.signals)}"
                 )
         self._index = {s: i for i, s in enumerate(self.signals)}
+        # The covers compiled to int cubes; nothing mutates ``covers``
+        # afterwards (a mutant is a new Circuit).
+        self._cubes = {
+            signal: tuple(cube.mask() for cube in cover)
+            for signal, cover in self.covers.items()
+        }
 
     @classmethod
     def from_synthesis(cls, result, stg_inputs):
@@ -65,14 +77,16 @@ class Circuit:
 
     def next_value(self, signal, vector):
         """The gate output of ``signal`` for the given value vector."""
-        return self.covers[signal].evaluate(vector)
+        return _output(self._cubes[signal], pack_minterm(vector))
 
     def excited(self, vector):
         """Non-input signals whose gate output differs from their value."""
+        code = pack_minterm(vector)
         return [
             signal
             for signal in self.non_inputs
-            if self.next_value(signal, vector) != vector[self._index[signal]]
+            if _output(self._cubes[signal], code)
+            != vector[self._index[signal]]
         ]
 
     def fire(self, vector, signal):
@@ -85,3 +99,11 @@ class Circuit:
             f"Circuit(signals={len(self.signals)}, "
             f"gates={len(self.non_inputs)})"
         )
+
+
+def _output(cubes, code):
+    """0/1 output of a gate's int cubes on a packed value vector."""
+    for value, care in cubes:
+        if not (code ^ value) & care:
+            return 1
+    return 0

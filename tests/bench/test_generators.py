@@ -1,8 +1,13 @@
 """Unit tests for the phase-cycle STG generator."""
 
+import hashlib
+
 import pytest
 
 from repro.bench.generators import Choice, Par, build_g, scaling_family
+from repro.logic.blif import write_synthesis_blif
+from repro.runtime.options import SynthesisOptions
+from repro.runtime.run import run_synthesis
 from repro.stg import parse_g, validate_stg
 from repro.stategraph import build_state_graph
 
@@ -68,6 +73,37 @@ def test_scaling_family_sizes_are_pinned():
         for width in (1, 2, 3, 4)
     ]
     assert sizes == [22, 58, 166, 490]
+
+
+#: width -> (final states, final signals, state signals, literals, BLIF
+#: SHA-256) under ``SynthesisOptions(verify_level="hazards")``; width 4's
+#: 816 final states are well beyond Table-1's largest (470).
+SCALING_GOLDEN = {
+    1: (34, 9, 3, 37,
+        "820fae016dd597a428b73ebe1f69c93df4f4298668cc8955f72357eeb980df07"),
+    2: (96, 11, 3, 35,
+        "a266be25bd1269f9a169fb1e4e815fee78d83f0cb28275d0f5e0106788917003"),
+    3: (276, 13, 3, 40,
+        "52e430f6942332f4d078bcd8976a0c42ce7f61f12586d2fbe989bb44f2308aa4"),
+    4: (816, 15, 3, 45,
+        "f34c0f876142db3823b3b9433f7ca2c5a9612a44aad94db61426131cf0b2b345"),
+}
+
+
+@pytest.mark.parametrize("width", sorted(SCALING_GOLDEN))
+def test_scaling_family_results_are_pinned(width):
+    stg = parse_g(scaling_family(width))
+    report = run_synthesis(
+        stg, options=SynthesisOptions(verify_level="hazards")
+    )
+    assert report.status == "ok"
+    assert report.verify.verdict is True
+    result = report.result
+    blif = write_synthesis_blif(result, stg.inputs, model=stg.name)
+    assert (
+        result.final_states, result.final_signals, result.state_signals,
+        result.literals, hashlib.sha256(blif.encode("utf-8")).hexdigest(),
+    ) == SCALING_GOLDEN[width]
 
 
 class TestErrors:

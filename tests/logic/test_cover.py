@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.logic.cover import DASH, Cover, Cube
+from repro.logic.cover import DASH, Cover, Cube, pack_minterm
 
 
 class TestCubeBasics:
@@ -118,3 +118,25 @@ def test_intersection_consistent_with_intersects(pa, pb):
     if result is not None:
         for m in result.minterms():
             assert a.contains_minterm(m) and b.contains_minterm(m)
+
+
+@given(
+    st.integers(0, 6).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n),
+            st.lists(st.integers(0, 1), min_size=n, max_size=n),
+        )
+    )
+)
+def test_mask_is_the_positional_cube_on_ints(case):
+    positions, minterm = case
+    cube = Cube(positions)
+    value, care = cube.mask()
+    assert value & ~care == 0
+    assert Cube.from_mask(value, care, len(positions)) == cube
+    assert (not (pack_minterm(minterm) ^ value) & care) == (
+        cube.contains_minterm(minterm)
+    )
+    assert pack_minterm(minterm) == sum(
+        bit << i for i, bit in enumerate(minterm)
+    )

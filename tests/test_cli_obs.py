@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+from importlib import resources
 
 import pytest
 
@@ -159,6 +160,21 @@ def test_metrics_tree_prints_span_hierarchy(spec, capsys):
     assert any(line.startswith("span") for line in lines)  # table header
     assert any(line.startswith("run") for line in lines)
     assert any(line.startswith("  module") for line in lines)  # indented
+
+
+def test_metrics_tree_splits_minimize_into_espresso_phases(capsys):
+    spec = resources.files("repro.data").joinpath("nak-pa.g")
+    assert main([str(spec), "--quiet", "--metrics-tree"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(
+        i for i, line in enumerate(lines) if line.startswith("  minimize ")
+    )
+    children = []
+    for line in lines[start + 1:]:
+        if not line.startswith("    "):
+            break
+        children.append(line.split()[0])
+    assert children == ["expand", "irredundant", "reduce"]
 
 
 def test_metrics_prom_writes_valid_exposition_page(spec, tmp_path, capsys):

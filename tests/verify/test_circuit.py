@@ -1,11 +1,16 @@
 """Unit tests for the gate-level circuit model."""
 
+from collections import deque
+
 import pytest
 
+from repro.bench.suite import benchmark_names, load_benchmark
 from repro.csc import modular_synthesis
 from repro.logic.cover import Cover
 from repro.stg import parse_g
 from repro.verify import Circuit
+from repro.verify.checker import ClosedLoop
+from repro.verify.mutate import mutant_circuit, mutate_result
 from repro.runtime.options import SynthesisOptions
 
 from tests.example_stgs import HANDSHAKE
@@ -67,3 +72,47 @@ class TestEvaluation:
         circuit = simple_circuit()
         assert circuit.fire((1, 0), "b") == (1, 1)
         assert circuit.fire((1, 1), "a") == (0, 1)
+
+
+# -- the oracle: gates evaluated by ``Cover.evaluate`` ----------------------
+
+
+def _visited_vectors(circuit, graph, initial_vector):
+    """Every circuit vector of the closed loop reachable from reset."""
+    loop = ClosedLoop(circuit, graph)
+    start = loop.initial(initial_vector)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        for _fired, successor in loop.moves(queue.popleft())[0]:
+            if successor not in seen:
+                seen.add(successor)
+                queue.append(successor)
+    return {vector for vector, _spec_state in seen}
+
+
+@pytest.mark.parametrize("name", benchmark_names())
+def test_int_gates_match_cover_evaluate(name):
+    # The original circuit and each of its mutants, on every vector its
+    # closed loop visits.
+    stg = load_benchmark(name)
+    result = modular_synthesis(stg)
+    circuits = [(
+        Circuit.from_synthesis(result, stg.inputs),
+        result.expanded.code_of(result.expanded.initial),
+    )]
+    mutants = mutate_result(result)
+    assert mutants
+    circuits += [mutant_circuit(result, stg.inputs, m) for m in mutants]
+    for circuit, initial_vector in circuits:
+        for vector in _visited_vectors(circuit, result.graph, initial_vector):
+            outputs = {
+                signal: circuit.covers[signal].evaluate(vector)
+                for signal in circuit.non_inputs
+            }
+            assert circuit.excited(vector) == [
+                signal for signal in circuit.non_inputs
+                if outputs[signal] != vector[circuit.index(signal)]
+            ]
+            for signal, output in outputs.items():
+                assert circuit.next_value(signal, vector) == output
