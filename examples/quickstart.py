@@ -48,6 +48,9 @@ def main():
 
     print("\nper-output modules")
     for module in result.modules:
+        if module.input_set is None:
+            print(f"  {module.output}: no CSC conflict, no module needed")
+            continue
         keep = ", ".join(module.input_set.kept_signals) or "(none)"
         print(f"  {module.output}: input set {{{keep}}}, "
               f"{module.num_macro_states} modular states, "

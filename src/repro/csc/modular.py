@@ -12,7 +12,6 @@ from repro import obs
 from repro.csc.assignment import Assignment
 from repro.csc.errors import SynthesisError
 from repro.csc.solve import DEFAULT_MAX_SIGNALS, solve_state_signals
-from repro.runtime.faults import should_fire as _fault_fires
 from repro.stategraph.quotient import quotient
 
 
@@ -104,10 +103,6 @@ def partition_sat(graph, output, input_set, existing, limits=None,
     -------
     PartitionResult
     """
-    if _fault_fires("module-solve", detail=output):
-        raise SynthesisError(
-            f"injected fault: modular solve failed for {output!r}"
-        )
     hidden = list(input_set.removal_order)
     last_error = None
     while True:

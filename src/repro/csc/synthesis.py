@@ -23,6 +23,7 @@ from repro.csc.solve import DEFAULT_MAX_SIGNALS, solve_state_signals
 from repro.obs import Stopwatch
 from repro.perf import ProjectionCache
 from repro.runtime.budget import BudgetExhaustedError
+from repro.runtime.faults import should_fire as _fault_fires
 from repro.runtime.options import coerce_options
 from repro.runtime.report import (
     MODULE_DEGRADED,
@@ -33,7 +34,7 @@ from repro.runtime.report import (
     RunReport,
 )
 from repro.stategraph.build import build_state_graph
-from repro.stategraph.csc import csc_conflicts
+from repro.stategraph.csc import conflicted_outputs, csc_conflicts
 from repro.stategraph.graph import StateGraph
 from repro.sat.solver import Limits
 
@@ -45,25 +46,43 @@ _MAX_REPAIR_ROUNDS = 10
 #: (larger m, then the partition_sat un-hiding ladder) instead of hanging.
 DEFAULT_MODULAR_LIMITS = Limits(max_backtracks=100_000, max_seconds=10.0)
 
+#: Report ``detail`` of an output the complete state graph Σ already
+#: determines, and of one whose Σ conflicts the state signals inserted
+#: by earlier modules already resolve.  Either way the output gets no
+#: input-set derivation, no projection and no solve.
+CLEAN_ON_SIGMA = "no CSC conflict on the complete state graph"
+CLEAN_WITH_SIGNALS = "no CSC conflict left under the inserted state signals"
+
 
 class ModuleReport:
-    """Per-output record of one modular iteration."""
+    """Per-output record of one modular iteration.
 
-    def __init__(self, output, input_set, partition):
+    An output without a CSC conflict is a zero-size module: it was
+    skipped, so ``input_set`` and ``partition`` are ``None``, it has no
+    macro states and no attempts, and it added no signal.
+    """
+
+    def __init__(self, output, input_set=None, partition=None):
         self.output = output
         self.input_set = input_set
         self.partition = partition
 
     @property
     def num_macro_states(self):
+        if self.partition is None:
+            return 0
         return self.partition.num_macro_states
 
     @property
     def signals_added(self):
+        if self.partition is None:
+            return 0
         return self.partition.signals_added
 
     @property
     def attempts(self):
+        if self.partition is None:
+            return []
         return self.partition.outcome.attempts
 
     def __repr__(self):
@@ -165,7 +184,9 @@ def modular_synthesis(stg, options=None):
           naming;
         * ``output_order`` -- explicit processing order for the
           non-input signals; the default derives the
-          smallest-module-first order (and reuses its pre-scan);
+          smallest-module-first order (and reuses its pre-scan).
+          Either way an output without a CSC conflict is skipped:
+          it gets an ``ok`` report entry and no modular pass;
         * ``polish`` -- run the assignment polish pass;
         * ``budget`` -- run-wide :class:`~repro.runtime.budget.Budget`
           bounding the whole call.  On exhaustion the raised
@@ -227,11 +248,13 @@ def modular_synthesis(stg, options=None):
         graph = build_state_graph(stg, budget=budget)
 
     cache = ProjectionCache(graph)
+    root = cache.project(())
+    on_sigma = conflicted_outputs(root)
     prescan = {}
     if opts.output_order:
         outputs = list(opts.output_order)
     else:
-        outputs, prescan = _default_output_order(graph, cache)
+        outputs, prescan = _default_output_order(graph, cache, on_sigma)
     unknown = set(outputs) - graph.non_inputs
     if unknown:
         raise ValueError(f"not non-input signals: {sorted(unknown)}")
@@ -239,17 +262,30 @@ def modular_synthesis(stg, options=None):
     report = RunReport(method="modular", engine=engine)
     assignment = Assignment.empty(graph.num_states)
     modules = []
+    # Inserting state signals only splits code classes, so the set of
+    # conflicted outputs only shrinks: re-check it once per change of
+    # the assignment, never one output at a time.
+    conflicted = on_sigma
+    checked = 0
     try:
         for output in outputs:
             if budget is not None:
                 budget.checkpoint(f"module:{output}")
+            if output in conflicted and assignment.num_signals != checked:
+                checked = assignment.num_signals
+                conflicted = _still_conflicted(root, assignment, conflicted)
+            clean = None
+            if output not in on_sigma:
+                clean = CLEAN_ON_SIGMA
+            elif output not in conflicted:
+                clean = CLEAN_WITH_SIGNALS
             assignment = _solve_module(
                 graph, output, assignment, modules, report,
                 limits=limits, max_signals=max_signals,
                 signal_prefix=signal_prefix, engine=engine,
                 sat_mode=sat_mode,
                 budget=budget, fallback=fallback, degrade=degrade,
-                cache=cache, prescan=prescan,
+                cache=cache, prescan=prescan, clean=clean,
             )
 
         with obs.span("repair"):
@@ -264,8 +300,12 @@ def modular_synthesis(stg, options=None):
             if budget is not None:
                 budget.checkpoint("polish")
             with obs.span("polish"):
-                assignment = polish_assignment(graph, assignment)
-                expanded = expand(graph, assignment)
+                polished = polish_assignment(graph, assignment)
+                # Polish hands back its input when it has nothing to do;
+                # the graph _repair expanded then still stands.
+                if polished is not assignment:
+                    assignment = polished
+                    expanded = expand(graph, assignment)
         _assert_realizable(graph, assignment)
 
         covers = literals = None
@@ -314,14 +354,32 @@ def _cache_safe(budget):
     )
 
 
+def _still_conflicted(root, assignment, outputs):
+    """The ``outputs`` still in CSC conflict under ``assignment``.
+
+    ``root`` is the ε-only projection the input-set derivation scores
+    first; an output it finds conflict-free there would get an empty
+    module.  An inconsistent merge keeps every output as having work.
+    """
+    merged = assignment.merged_over(root.blocks)
+    if merged is None:
+        return set(outputs)
+    return conflicted_outputs(
+        root, outputs=outputs, extra_codes=merged.cur_bits()
+    )
+
+
 def _solve_module(graph, output, assignment, modules, report, *,
                   limits, max_signals, signal_prefix, engine, budget,
                   fallback, degrade, cache=None, prescan=None,
-                  sat_mode="incremental"):
+                  sat_mode="incremental", clean=None):
     """One output's modular pass, degrading per policy on failure.
 
     Returns the extended assignment and appends to ``modules`` /
-    ``report`` as a side effect.  A ``prescan`` entry (an
+    ``report`` as a side effect.  ``clean`` is the report detail of an
+    output without a CSC conflict (:data:`CLEAN_ON_SIGMA` /
+    :data:`CLEAN_WITH_SIGNALS`): the full pass would add no signal and
+    make no SAT attempt, so it is skipped.  A ``prescan`` entry (an
     :class:`~repro.csc.input_set.InputSetResult` derived against the
     empty assignment by ``_default_output_order``) is reused verbatim as
     long as no state signal has been inserted yet -- the derivation is a
@@ -330,30 +388,41 @@ def _solve_module(graph, output, assignment, modules, report, *,
     the input set is derived afresh, so those signals can enter it.
     """
     with obs.span("module", output=output) as module_span:
-        with obs.span("input_set", output=output) as input_span:
-            input_set = None
-            if prescan and assignment.num_signals == 0:
-                input_set = prescan.get(output)
-            if input_set is not None:
-                obs.add("prescan_reuses")
-                input_span.set("reused", True)
-            else:
-                input_set = determine_input_set(
-                    graph, output, assignment, cache=cache
-                )
-
         cause = None
-        try:
-            partition = partition_sat(
-                graph, output, input_set, assignment, limits=limits,
-                max_signals=max_signals,
-                name_start=assignment.num_signals,
-                signal_prefix=signal_prefix, engine=engine,
-                budget=budget, fallback=fallback, cache=cache,
-                sat_mode=sat_mode,
+        if _fault_fires("module-solve", detail=output):
+            cause = SynthesisError(
+                f"injected fault: modular solve failed for {output!r}"
             )
-        except CscError as exc:
-            cause = exc
+        elif clean is not None:
+            modules.append(ModuleReport(output))
+            report.add_module(output, MODULE_OK, detail=clean)
+            module_span.set("status", MODULE_OK)
+            module_span.set("conflict_free", True)
+            module_span.add("modules_conflict_free")
+            return assignment
+        else:
+            with obs.span("input_set", output=output) as input_span:
+                input_set = None
+                if prescan and assignment.num_signals == 0:
+                    input_set = prescan.get(output)
+                if input_set is not None:
+                    obs.add("prescan_reuses")
+                    input_span.set("reused", True)
+                else:
+                    input_set = determine_input_set(
+                        graph, output, assignment, cache=cache
+                    )
+            try:
+                partition = partition_sat(
+                    graph, output, input_set, assignment, limits=limits,
+                    max_signals=max_signals,
+                    name_start=assignment.num_signals,
+                    signal_prefix=signal_prefix, engine=engine,
+                    budget=budget, fallback=fallback, cache=cache,
+                    sat_mode=sat_mode,
+                )
+            except CscError as exc:
+                cause = exc
 
         if cause is not None:
             if not degrade:
@@ -436,7 +505,7 @@ def _assert_realizable(graph, assignment):
         )
 
 
-def _default_output_order(graph, cache=None):
+def _default_output_order(graph, cache, conflicted):
     """Process outputs with the smallest modular graphs first.
 
     Local conflicts (completion pulses, echo tails) then insert their
@@ -446,19 +515,26 @@ def _default_output_order(graph, cache=None):
     is the ordering that makes its "state signals are shared between
     modules" behaviour reliable.
 
+    ``conflicted`` holds the outputs with a CSC conflict on Σ's ε-only
+    projection.  Any other output is a zero-size module: it gets no
+    derivation, sorts first under the key ``(0, 0, name)``, and the
+    solve loop skips it.  Every conflicted output keeps the key
+    ``(macro states, conflicts, name)`` of its derived module.
+
     Returns ``(order, prescan)``: the pre-scan's per-output
     :class:`~repro.csc.input_set.InputSetResult` objects (derived
     against the empty assignment) ride along so the solve loop never
     repeats the derivation, and the shared ``cache`` keeps every
     projection computed here warm for ``partition_sat``.
     """
-    if cache is None:
-        cache = ProjectionCache(graph)
     empty = Assignment.empty(graph.num_states)
     keys = {}
     prescan = {}
     with obs.span("output_order"):
         for output in sorted(graph.non_inputs):
+            if output not in conflicted:
+                keys[output] = (0, 0, output)
+                continue
             input_set = determine_input_set(graph, output, empty, cache=cache)
             prescan[output] = input_set
             macro = cache.project(

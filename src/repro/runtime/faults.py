@@ -24,8 +24,10 @@ Injection points
     :func:`repro.stg.parse.parse_g` raises
     :class:`~repro.stg.errors.GFormatError`.
 ``module-solve``
-    :func:`repro.csc.modular.partition_sat` raises
-    :class:`~repro.csc.errors.SynthesisError` for one output's module.
+    The modular synthesis loop fails one output's module with a
+    :class:`~repro.csc.errors.SynthesisError`, before the input-set
+    derivation, for every output it visits -- including outputs
+    without a CSC conflict, whose pass it would otherwise skip.
     ``detail`` is the output signal name.
 ``cache-corrupt-record``
     :meth:`repro.perf.result_cache.ResultCache.get` treats the record

@@ -17,6 +17,7 @@ from repro.stategraph.build import (
 )
 from repro.stategraph.csc import (
     code_classes,
+    conflicted_outputs,
     csc_conflicts,
     csc_conflicts_and_bound,
     csc_lower_bound,
@@ -35,6 +36,7 @@ __all__ = [
     "StateGraphView",
     "build_state_graph",
     "code_classes",
+    "conflicted_outputs",
     "csc_conflicts",
     "csc_conflicts_and_bound",
     "csc_lower_bound",

@@ -114,6 +114,42 @@ def csc_conflicts(graph, outputs=None, extra_codes=None, extra_implied=None):
     return conflicts
 
 
+def conflicted_outputs(graph, outputs=None, extra_codes=None):
+    """The outputs that have a CSC conflict, found in one pass.
+
+    An output has a conflict exactly when, in some code class, its
+    implied values are not one single value: two states of the class
+    disagree (a pair conflict) or one merged state already carries both
+    (an intrinsic conflict).  The result equals ``{o for o in outputs
+    if csc_conflicts(graph, [o], extra_codes=extra_codes)}``, but the
+    code classes are built once and an output stops being examined as
+    soon as one class convicts it.
+
+    Returns
+    -------
+    set
+        The conflicted subset of ``outputs`` (default: all non-input
+        signals).
+    """
+    pending = _analysis_outputs(graph, outputs)
+    conflicted = set()
+    for states in code_classes(graph, extra_codes).values():
+        found = set()
+        for output in pending:
+            values = set()
+            for state in states:
+                values |= graph.implied_values(state, output)
+                if len(values) > 1:
+                    found.add(output)
+                    break
+        if found:
+            conflicted |= found
+            pending = [o for o in pending if o not in found]
+            if not pending:
+                break
+    return conflicted
+
+
 def csc_conflicts_and_bound(graph, outputs=None, extra_codes=None,
                             extra_implied=None):
     """Conflict pairs and the refined lower bound, in one pass.
