@@ -34,8 +34,13 @@ def expand(graph, assignment, return_origins=False):
     -------
     StateGraph or (StateGraph, list)
         A graph over ``graph.signals + assignment.names`` in which every
-        state signal is an ordinary (internal, non-input) signal.
+        state signal is an ordinary (internal, non-input) signal.  With
+        no state signals that graph is ``graph`` itself.
     """
+    if not assignment.names:
+        if return_origins:
+            return graph, list(graph.states())
+        return graph
     problems = assignment.check_edge_compatibility(graph)
     if problems:
         source, target, name = problems[0]

@@ -292,7 +292,7 @@ def modular_synthesis(stg, options=None):
             assignment, expanded, repair_attempts = _repair(
                 graph, assignment, limits, max_signals, signal_prefix,
                 engine, budget=budget, fallback=fallback,
-                sat_mode=sat_mode,
+                sat_mode=sat_mode, clean_on_sigma=not on_sigma,
             )
         if opts.polish:
             from repro.csc.polish import polish_assignment
@@ -545,12 +545,20 @@ def _default_output_order(graph, cache, conflicted):
 
 
 def _repair(graph, assignment, limits, max_signals, signal_prefix, engine,
-            budget=None, fallback=False, sat_mode="incremental"):
+            budget=None, fallback=False, sat_mode="incremental",
+            clean_on_sigma=False):
     """Resolve residual conflicts until the expanded graph satisfies CSC.
 
     Each round: expand, look for CSC violations among expanded states, map
     them back to Σ state pairs, and solve a (small) whole-graph formula
     that distinguishes them on top of the existing assignment.
+
+    ``clean_on_sigma`` says the conflict pass found no conflicted
+    non-input on Σ's ε-only projection.  With no state signal inserted,
+    that already decides CSC: a code class there holds one implied value
+    per non-input (merged ε-blocks carry every member's), and with equal
+    codes equal implied values mean equal non-input excitation.  The
+    first round then skips its conflict search.
     """
     repair_attempts = []
     extra_pairs = []
@@ -559,6 +567,8 @@ def _repair(graph, assignment, limits, max_signals, signal_prefix, engine,
             budget.checkpoint("repair")
         obs.add("repair_rounds")
         expanded, origins = expand(graph, assignment, return_origins=True)
+        if clean_on_sigma and not assignment.num_signals:
+            return assignment, expanded, repair_attempts
         violations = csc_conflicts(expanded)
         if not violations:
             return assignment, expanded, repair_attempts

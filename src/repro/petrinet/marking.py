@@ -46,6 +46,20 @@ class Marking:
         self._items = tuple(sorted(counts.items()))
         self._hash = hash(self._items)
 
+    @classmethod
+    def from_sorted_items(cls, items):
+        """A marking from ``(place, count)`` pairs already in normal form.
+
+        ``items`` must be a tuple sorted by place, with distinct places
+        and positive counts -- what :meth:`items` returns.  Skips the
+        constructor's normalisation; the reachability exploration builds
+        every marking it reaches this way.
+        """
+        marking = cls.__new__(cls)
+        marking._items = items
+        marking._hash = hash(items)
+        return marking
+
     # -- mapping-style access -------------------------------------------
 
     def __getitem__(self, place):

@@ -23,6 +23,77 @@ class InconsistentStgError(StgValidationError):
     """The STG's rises and falls admit no consistent state assignment."""
 
 
+def signal_codes(stg, graph):
+    """Every reachable marking's signal code, from one pass over the edges.
+
+    Bit ``j`` of a code is the value of ``stg.signals[j]``.  Walking
+    ``graph.edges`` in discovery order, a newly reached marking gets its
+    source's ``delta`` (the signals changed since the initial marking)
+    with the fired signal's bit flipped; every other edge must agree
+    with the delta already recorded.  An ``s+`` edge fixes the initial
+    value of ``s`` so that ``s`` is 0 at its source, an ``s-`` edge so
+    that it is 1.  The graph is connected from the initial marking, so a
+    consistent assignment, when one exists, is this one.
+
+    ``graph`` is a :class:`~repro.petrinet.reachability.ReachabilityGraph`
+    as :func:`~repro.petrinet.reachability.reachability_graph` returns
+    it: edges in discovery order, ``markings[0]`` the initial marking.
+    Returns ``(codes, fired)``: ``codes[i]`` is the code of
+    ``graph.markings[i]``, ``fired`` the mask of the signals some edge
+    fires (a signal that never fires reads 0 everywhere).  Raises
+    :class:`InconsistentStgError` when some signal would need both
+    values in one marking: its transitions do not alternate.
+    """
+    signals = stg.signals
+    bit = {signal: 1 << j for j, signal in enumerate(signals)}
+    moves = {}  # transition -> (its signal's bit, the bit if it falls)
+    for transition, label in stg.labels().items():
+        flip = 0 if label.is_dummy else bit[label.signal]
+        moves[transition] = flip, flip if label.is_fall else 0
+    index = {marking: i for i, marking in enumerate(graph.markings)}
+    delta = [0] + [None] * (len(graph.markings) - 1)
+    initial = fixed = 0
+    for source, transition, target in graph.edges:
+        before = delta[index[source]]
+        flip, fall = moves[transition]
+        after = before ^ flip
+        reached = index[target]
+        known = delta[reached]
+        if known is None:
+            delta[reached] = after
+        elif known != after:
+            _contradiction(
+                signals, known ^ after, "has contradictory values at", target
+            )
+        if flip:
+            # The fired signal is 0 before a rise and 1 before a fall.
+            value = (before ^ fall) & flip
+            if not fixed & flip:
+                initial |= value
+                fixed |= flip
+            elif initial & flip != value:
+                _contradiction(
+                    signals, flip, "is forced to both values in", source
+                )
+    return [initial ^ change for change in delta], fixed
+
+
+def _contradiction(signals, mask, what, marking):
+    signal = signals[(mask & -mask).bit_length() - 1]
+    raise InconsistentStgError(
+        f"signal {signal!r} {what} {marking!r}; transitions do not alternate"
+    )
+
+
+def _require_fired(signals, fired):
+    """Raise for the first signal no edge of the graph fires."""
+    for j, signal in enumerate(signals):
+        if not fired >> j & 1:
+            raise InconsistentStgError(
+                f"signal {signal!r} never fires; its value is undetermined"
+            )
+
+
 def infer_signal_values(stg, graph):
     """Infer every signal's binary value in every reachable marking.
 
@@ -45,57 +116,13 @@ def infer_signal_values(stg, graph):
         some signal's value is not determined anywhere (a signal with no
         fired transition).
     """
-    values = {marking: {} for marking in graph.markings}
-
-    for signal in stg.signals:
-        # Seed values from the edges that move this signal.
-        pending = []
-        for source, transition, target in graph.edges:
-            label = stg.label(transition)
-            if label.signal != signal:
-                continue
-            before, after = (0, 1) if label.is_rise else (1, 0)
-            for marking, value in ((source, before), (target, after)):
-                known = values[marking].get(signal)
-                if known is None:
-                    values[marking][signal] = value
-                    pending.append(marking)
-                elif known != value:
-                    raise InconsistentStgError(
-                        f"signal {signal!r} forced to both values in "
-                        f"{marking!r}; transitions do not alternate"
-                    )
-        if not pending:
-            raise InconsistentStgError(
-                f"signal {signal!r} never fires; its value is undetermined"
-            )
-        # Propagate across edges that do not move this signal.
-        while pending:
-            marking = pending.pop()
-            value = values[marking][signal]
-            neighbours = [
-                (t, other) for t, other in graph.successors(marking)
-            ] + [(t, other) for t, other in graph.predecessors(marking)]
-            for transition, other in neighbours:
-                if stg.label(transition).signal == signal:
-                    continue
-                known = values[other].get(signal)
-                if known is None:
-                    values[other][signal] = value
-                    pending.append(other)
-                elif known != value:
-                    raise InconsistentStgError(
-                        f"signal {signal!r} has contradictory values at "
-                        f"{other!r}"
-                    )
-
-    for marking in graph.markings:
-        missing = [s for s in stg.signals if s not in values[marking]]
-        if missing:
-            raise InconsistentStgError(
-                f"could not determine values of {missing} at {marking!r}"
-            )
-    return values
+    codes, fired = signal_codes(stg, graph)
+    signals = stg.signals
+    _require_fired(signals, fired)
+    return {
+        marking: {s: code >> j & 1 for j, s in enumerate(signals)}
+        for marking, code in zip(graph.markings, codes)
+    }
 
 
 def build_state_graph(stg, contract_dummies=True, budget=None,
@@ -134,32 +161,34 @@ def build_state_graph(stg, contract_dummies=True, budget=None,
                 raise StgValidationError(
                     f"STG is not 1-safe: reachable marking {marking!r}"
                 )
+        signals = tuple(stg.signals)
         with obs.span("signal_values"):
-            values = infer_signal_values(stg, reach)
+            ints, fired = signal_codes(stg, reach)
+            _require_fired(signals, fired)
         if budget is not None:
             budget.checkpoint("signal-values")
 
-        signals = tuple(stg.signals)
+        codes = [tuple(code >> j & 1 for j in range(len(signals)))
+                 for code in ints]
+        labels = {
+            transition: (
+                EPSILON if label.is_dummy
+                else (label.signal, label.direction)
+            )
+            for transition, label in stg.labels().items()
+        }
         index = {marking: i for i, marking in enumerate(reach.markings)}
-        codes = [
-            tuple(values[marking][s] for s in signals)
-            for marking in reach.markings
+        edges = [
+            (index[source], labels[transition], index[target])
+            for source, transition, target in reach.edges
         ]
-        edges = []
-        for source, transition, target in reach.edges:
-            label = stg.label(transition)
-            if label.is_dummy:
-                edge_label = EPSILON
-            else:
-                edge_label = (label.signal, label.direction)
-            edges.append((index[source], edge_label, index[target]))
 
         graph = StateGraph(
             signals,
             codes,
             edges,
             non_inputs=stg.non_inputs,
-            initial=index[reach.initial],
+            initial=0,
             markings=reach.markings,
         )
         if contract_dummies and any(

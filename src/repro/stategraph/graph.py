@@ -86,8 +86,9 @@ class StateGraph:
         n = len(self.codes)
         if not (0 <= source < n and 0 <= target < n):
             raise ValueError(f"edge ({source},{label},{target}) out of range")
+        code, next_code = self.codes[source], self.codes[target]
         if label is EPSILON:
-            if self.codes[source] != self.codes[target]:
+            if code != next_code:
                 raise ValueError(
                     f"ε edge {source}->{target} changes the state code"
                 )
@@ -99,17 +100,16 @@ class StateGraph:
         before, after = (0, 1) if direction == RISE else (1, 0)
         if direction not in (RISE, FALL):
             raise ValueError(f"bad edge direction {direction!r}")
-        if (
-            self.codes[source][bit] != before
-            or self.codes[target][bit] != after
-        ):
+        if code[bit] != before or next_code[bit] != after:
             raise ValueError(
                 f"edge {signal}{direction} from {source} to {target} violates "
                 "consistent state assignment"
             )
-        for i, (a, b) in enumerate(
-            zip(self.codes[source], self.codes[target])
+        if code[:bit] == next_code[:bit] and (
+            code[bit + 1:] == next_code[bit + 1:]
         ):
+            return
+        for i, (a, b) in enumerate(zip(code, next_code)):
             if i != bit and a != b:
                 raise ValueError(
                     f"edge {signal}{direction} from {source} to {target} "

@@ -5,9 +5,9 @@ Checks the properties synthesis relies on before any state graph is built:
 * the underlying net is bounded (exploration terminates) and 1-safe;
 * every declared signal actually has transitions;
 * rising and falling transitions of every signal alternate consistently
-  along every firing sequence (a prerequisite of the consistent state
-  assignment of Section 2 -- the full check happens during state graph
-  construction, this one gives earlier, cheaper diagnostics);
+  along every firing sequence: the consistent state assignment of
+  Section 2 exists (the same one-pass check state-graph construction
+  makes, :func:`repro.stategraph.build.signal_codes`);
 * optionally, the net is live (no reachable deadlock and no dead
   transitions), which non-terminating interface circuits require.
 """
@@ -22,7 +22,9 @@ from repro.stg.errors import StgValidationError
 def validate_stg(stg, require_live=False, require_safe=True, graph=None):
     """Validate ``stg``; raises :class:`StgValidationError` on failure.
 
-    Returns the reachability graph so callers can reuse it.
+    ``graph`` is the net's :func:`reachability_graph`, when the caller
+    already has it.  Returns the reachability graph so callers can
+    reuse it.
     """
     net = stg.net
     for signal in stg.signals:
@@ -41,65 +43,16 @@ def validate_stg(stg, require_live=False, require_safe=True, graph=None):
                     f"net is not 1-safe: marking {marking!r} reachable"
                 )
 
-    _check_alternation(stg, graph)
+    # Imported here: repro.stategraph imports this package.
+    from repro.stategraph.build import InconsistentStgError, signal_codes
+
+    # The pass build_state_graph makes; a signal that never fires is a
+    # liveness question, left to ``require_live``.
+    try:
+        signal_codes(stg, graph)
+    except InconsistentStgError as exc:
+        raise StgValidationError(str(exc)) from None
 
     if require_live and not is_live(net, graph=graph):
         raise StgValidationError("underlying net is not live")
     return graph
-
-
-def _check_alternation(stg, graph):
-    """Verify each signal's value is a consistent function of the marking.
-
-    Propagates a per-signal binary value from the initial marking across
-    every reachability edge: a ``s+`` edge forces value 0 before and 1
-    after, ``s-`` the reverse, any other edge leaves the value unchanged.
-    A contradiction means the STG's rises and falls do not alternate.
-    """
-    for signal in stg.signals:
-        values = {}  # marking -> 0/1, only where forced
-        # Seed from every edge labelled with this signal, then propagate.
-        forced = []
-        for source, transition, target in graph.edges:
-            label = stg.label(transition)
-            if label.signal != signal:
-                continue
-            before, after = (0, 1) if label.is_rise else (1, 0)
-            for marking, value in ((source, before), (target, after)):
-                if values.get(marking, value) != value:
-                    raise StgValidationError(
-                        f"signal {signal!r} does not alternate consistently "
-                        f"at {marking!r}"
-                    )
-                values[marking] = value
-            forced.append(source)
-            forced.append(target)
-        # Propagate across edges that do not move this signal.
-        pending = list(values)
-        while pending:
-            marking = pending.pop()
-            value = values[marking]
-            for transition, successor in graph.successors(marking):
-                if stg.label(transition).signal == signal:
-                    continue
-                if successor in values:
-                    if values[successor] != value:
-                        raise StgValidationError(
-                            f"signal {signal!r} has inconsistent value at "
-                            f"{successor!r}"
-                        )
-                else:
-                    values[successor] = value
-                    pending.append(successor)
-            for transition, predecessor in graph.predecessors(marking):
-                if stg.label(transition).signal == signal:
-                    continue
-                if predecessor in values:
-                    if values[predecessor] != value:
-                        raise StgValidationError(
-                            f"signal {signal!r} has inconsistent value at "
-                            f"{predecessor!r}"
-                        )
-                else:
-                    values[predecessor] = value
-                    pending.append(predecessor)

@@ -12,7 +12,9 @@ concurrency contract).  The assertions:
   within its ``misses`` tally (a stale lookup is always also a miss).
 
 The schedule is deterministic per worker (index arithmetic, no RNG), so
-a failure reproduces.
+a failure reproduces.  Each corruption is read back by its own worker
+straight away, so stale heals are counted even when the workers happen
+not to overlap in time.
 """
 
 import os
@@ -48,6 +50,13 @@ def _hammer(root, worker_id):
                     handle.write(b"garbage" * (worker_id + 1))
             except OSError:
                 pass
+            # Read the corruption back at once.  The worker's own next
+            # two visits to this key (six iterations apart) are an
+            # evict and a put, so without this a worker that ran alone
+            # never met its own garbage and counted no stale heal.
+            value = cache.get("module", key)
+            if value is not None and value != ("payload", key):
+                wrong_hits += 1
         else:
             cache.evict(max_bytes=256)
     stats = cache.stats()

@@ -65,6 +65,18 @@ class TestConstruction:
                 [],
             )
 
+    @pytest.mark.parametrize(
+        "codes, label, touched",
+        [
+            ([(0, 0, 0), (1, 1, 0)], ("b", "+"), "a"),
+            ([(0, 1, 0), (0, 0, 1)], ("b", "-"), "c"),
+        ],
+        ids=["before-the-fired-bit", "after-the-fired-bit"],
+    )
+    def test_edge_names_the_touched_signal(self, codes, label, touched):
+        with pytest.raises(ValueError, match=f"unrelated signal '{touched}'"):
+            StateGraph(("a", "b", "c"), codes, [(0, label, 1)], [])
+
     def test_epsilon_edge_requires_equal_codes(self):
         with pytest.raises(ValueError):
             StateGraph(
