@@ -7,7 +7,8 @@ their minterm sets.
 
 The bit-parallel kernels (the minimizer, the gate-level circuit) work on
 ints instead, and this module owns that layout: position ``i`` is bit
-``i``.  A minterm packs to one int (:func:`pack_minterm`); a cube to a
+``i``.  A minterm packs to one int (:func:`pack_minterm`, inverted by
+:func:`unpack_minterm`); a cube to a
 ``(value, care)`` pair (:meth:`Cube.mask`, :meth:`Cube.from_mask`), so a
 packed minterm ``m`` lies inside it exactly when ``not (m ^ value) & care``.
 """
@@ -27,6 +28,11 @@ def pack_minterm(bits):
     for bit in reversed(bits):
         value = value << 1 | bit
     return value
+
+
+def unpack_minterm(value, n):
+    """The ``n``-tuple of 0/1 whose packed form is ``value``."""
+    return tuple(value >> i & 1 for i in range(n))
 
 
 class Cube:

@@ -48,8 +48,21 @@ def espresso(onset, offset, n):
     Cover
         A prime irredundant cover of the ON-set that avoids the OFF-set.
     """
-    on_ints = sorted({_to_int(bits, n) for bits in onset})
-    off_ints = sorted({_to_int(bits, n) for bits in offset})
+    return espresso_ints(
+        [_to_int(bits, n) for bits in onset],
+        [_to_int(bits, n) for bits in offset],
+        n,
+    )
+
+
+def espresso_ints(onset, offset, n):
+    """:func:`espresso` on packed minterms (bit ``i`` is variable ``i``).
+
+    The minimiser works on the sorted distinct ints either way, so the
+    cover equals :func:`espresso`'s on the same minterms as tuples.
+    """
+    on_ints = sorted(set(onset))
+    off_ints = sorted(set(offset))
     overlap = set(on_ints) & set(off_ints)
     if overlap:
         raise ValueError(

@@ -9,7 +9,40 @@ The unreachable codes are don't-cares, which is exactly the shape
 
 from __future__ import annotations
 
-from repro.logic.espresso import espresso
+from repro.logic.cover import unpack_minterm
+from repro.logic.espresso import espresso_ints
+
+
+def _int_tables(graph, signals):
+    """``signal -> (onset, offset)`` as sorted lists of packed codes.
+
+    Read from the graph's implied-value masks: a code is in a signal's
+    ON-set when some state carrying it implies 1, in its OFF-set when
+    some state implies 0, and in both only when the graph violates CSC.
+    """
+    masks = graph.implied_masks()
+    chosen = sorted(graph.non_inputs) if signals is None else list(signals)
+    merged = {}
+    for code, one, zero in zip(masks.codes, masks.ones, masks.zeros):
+        prior = merged.get(code)
+        if prior is not None:
+            one |= prior[0]
+            zero |= prior[1]
+        merged[code] = (one, zero)
+    rows = sorted(merged.items())
+    tables = {}
+    for signal in chosen:
+        bit = 1 << masks.index[signal]
+        onset = [code for code, (one, _zero) in rows if one & bit]
+        offset = [code for code, (_one, zero) in rows if zero & bit]
+        clash = sum(1 for _code, (one, zero) in rows if one & zero & bit)
+        if clash:
+            raise ValueError(
+                f"signal {signal!r} has contradictory implied values on "
+                f"{clash} code(s); the graph does not satisfy CSC"
+            )
+        tables[signal] = (onset, offset)
+    return tables
 
 
 def next_state_tables(graph, signals=None):
@@ -26,32 +59,21 @@ def next_state_tables(graph, signals=None):
     Returns
     -------
     dict
-        ``signal -> (onset, offset)`` where each set contains code tuples.
+        ``signal -> (onset, offset)``: sorted lists of code tuples.
 
     Raises
     ------
     ValueError
         If some code implies both 0 and 1 for a signal -- a CSC violation.
     """
-    chosen = sorted(graph.non_inputs) if signals is None else list(signals)
-    tables = {}
-    for signal in chosen:
-        onset = set()
-        offset = set()
-        for state in graph.states():
-            code = graph.code_of(state)
-            if graph.implied_value(state, signal):
-                onset.add(code)
-            else:
-                offset.add(code)
-        clash = onset & offset
-        if clash:
-            raise ValueError(
-                f"signal {signal!r} has contradictory implied values on "
-                f"{len(clash)} code(s); the graph does not satisfy CSC"
-            )
-        tables[signal] = (sorted(onset), sorted(offset))
-    return tables
+    n = len(graph.signals)
+    return {
+        signal: (
+            sorted(unpack_minterm(code, n) for code in onset),
+            sorted(unpack_minterm(code, n) for code in offset),
+        )
+        for signal, (onset, offset) in _int_tables(graph, signals).items()
+    }
 
 
 def synthesize_logic(graph, signals=None):
@@ -59,7 +81,8 @@ def synthesize_logic(graph, signals=None):
 
     This mirrors the paper's use of ``espresso -Dso -S1``: every output is
     minimised separately and the area is the summed literal count of the
-    unfactored covers.
+    unfactored covers.  The ON/OFF tables go to the minimiser as packed
+    ints, the layout it works in.
 
     Returns
     -------
@@ -68,7 +91,7 @@ def synthesize_logic(graph, signals=None):
     """
     n = len(graph.signals)
     covers = {}
-    for signal, (onset, offset) in next_state_tables(graph, signals).items():
-        covers[signal] = espresso(onset, offset, n)
+    for signal, (onset, offset) in _int_tables(graph, signals).items():
+        covers[signal] = espresso_ints(onset, offset, n)
     total = sum(cover.literals for cover in covers.values())
     return covers, total

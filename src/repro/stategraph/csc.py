@@ -13,11 +13,20 @@ StateGraphView` -- a plain :class:`~repro.stategraph.graph.StateGraph`, a
 carry *sets* of implied values), or any structural equivalent -- and an
 optional ``extra_codes`` argument appending already-inserted state-signal
 value bits to every state code.
+
+The conflict analyses read the graph's implied-value masks
+(:class:`~repro.stategraph.graph.ImpliedMasks`): per state, the packed
+code and two ints holding the signals whose implied value may be 1
+(``ones``) and may be 0 (``zeros``).  Comparing two states' implied
+values for every output is then a handful of int operations.
 """
 
 from __future__ import annotations
 
 import math
+
+from repro.logic.cover import pack_minterm
+from repro.stategraph.graph import ImpliedMasks
 
 
 def _full_code(graph, state, extra_codes):
@@ -59,13 +68,125 @@ def usc_pairs(graph, extra_codes=None):
     return pairs
 
 
-def _signature(graph, state, outs, extra_implied):
-    """Per-state tuple of implied-value sets over outputs + extra signals."""
-    parts = [graph.implied_values(state, o) for o in outs]
+def _masks(graph):
+    """The graph's implied-value masks.
+
+    A view without ``implied_masks`` (a structural
+    :class:`~repro.stategraph.view.StateGraphView`) gets them derived
+    from its ``code_of`` and ``implied_values``.
+    """
+    implied_masks = getattr(graph, "implied_masks", None)
+    if implied_masks is not None:
+        return implied_masks()
+    index = {signal: i for i, signal in enumerate(graph.signals)}
+    codes, ones, zeros = [], [], []
+    for state in graph.states():
+        one = zero = 0
+        for signal, i in index.items():
+            values = graph.implied_values(state, signal)
+            one |= (1 in values) << i
+            zero |= (0 in values) << i
+        codes.append(pack_minterm(graph.code_of(state)))
+        ones.append(one)
+        zeros.append(zero)
+    return ImpliedMasks(codes, ones, zeros, index)
+
+
+def _analysis(graph, outputs, extra_codes, extra_implied):
+    """``(classes, ones, zeros, mask, index)`` of one conflict analysis.
+
+    ``classes`` are the code classes, keyed by the packed code plus the
+    ``extra_codes`` row, in first-appearance order with states
+    ascending (the order :func:`code_classes` gives).  ``mask`` selects
+    the analysed outputs' bits.  Each ``extra_implied`` entry (0/1 or a
+    frozenset of them) becomes one more bit of ``ones``/``zeros`` above
+    the layout's width, and ``mask`` covers those bits too.
+    """
+    masks = _masks(graph)
+    index = masks.index
+    mask = 0
+    for output in _analysis_outputs(graph, outputs):
+        mask |= 1 << index[output]
+    ones, zeros = masks.ones, masks.zeros
     if extra_implied is not None:
-        for bit in extra_implied[state]:
-            parts.append(bit if isinstance(bit, frozenset) else frozenset((bit,)))
-    return tuple(parts)
+        width = len(index)
+        extended_ones, extended_zeros = [], []
+        longest = 0
+        for state, (one, zero) in enumerate(zip(ones, zeros)):
+            entries = extra_implied[state]
+            one &= mask
+            zero &= mask
+            bit = 1 << width
+            for value in entries:
+                if isinstance(value, frozenset):
+                    if 1 in value:
+                        one |= bit
+                    if 0 in value:
+                        zero |= bit
+                elif value:
+                    one |= bit
+                else:
+                    zero |= bit
+                bit <<= 1
+            extended_ones.append(one)
+            extended_zeros.append(zero)
+            longest = max(longest, len(entries))
+        ones, zeros = extended_ones, extended_zeros
+        mask |= ((1 << longest) - 1) << width
+
+    classes = {}
+    codes = masks.codes
+    if extra_codes is not None:
+        codes = [
+            (code, tuple(extra_codes[state]))
+            for state, code in enumerate(codes)
+        ]
+    for state, key in enumerate(codes):
+        members = classes.get(key)
+        if members is None:
+            classes[key] = [state]
+        else:
+            members.append(state)
+    return classes.values(), ones, zeros, mask, index
+
+
+def _class_conflicts(states, ones, zeros, mask, conflicts):
+    """Append one code class's conflicts; True if one is intrinsic.
+
+    Output ``o`` conflicts between ``a`` and ``b`` exactly when its bit
+    is set in ``(ones_a | ones_b) & (zeros_a | zeros_b)``: the union of
+    their implied values holds both 0 and 1.  A state alone is in
+    intrinsic conflict when the bit is set in ``ones & zeros``.  The
+    order is fixed: every intrinsic ``(s, s)`` of the class, then every
+    pair ``(a, b)`` with ``a`` listed before ``b``.
+    """
+    one_all = zero_all = 0
+    for state in states:
+        one_all |= ones[state]
+        zero_all |= zeros[state]
+    if not one_all & zero_all & mask:
+        return False
+    masked = [(state, ones[state] & mask, zeros[state] & mask)
+              for state in states]
+    intrinsic = False
+    for state, one, zero in masked:
+        if one & zero:
+            conflicts.append((state, state))
+            intrinsic = True
+    for i, (a, one_a, zero_a) in enumerate(masked):
+        for b, one_b, zero_b in masked[i + 1:]:
+            if (one_a | one_b) & (zero_a | zero_b):
+                conflicts.append((a, b))
+    return intrinsic
+
+
+def _signature_count(states, ones, zeros, mask):
+    """Distinct ``(ones & mask, zeros & mask)`` signatures of a class."""
+    shift = mask.bit_length()
+    return len({
+        (ones[state] & mask) << shift | zeros[state] & mask
+        for state in states
+    })
 
 
 def csc_conflicts(graph, outputs=None, extra_codes=None, extra_implied=None):
@@ -94,23 +215,12 @@ def csc_conflicts(graph, outputs=None, extra_codes=None, extra_implied=None):
         conflicts ``(a, a)`` for merged states whose members disagree on
         some output's implied value (possible only for quotient graphs).
     """
-    outs = _analysis_outputs(graph, outputs)
+    classes, ones, zeros, mask, _index = _analysis(
+        graph, outputs, extra_codes, extra_implied
+    )
     conflicts = []
-    for states in code_classes(graph, extra_codes).values():
-        implied = {
-            state: _signature(graph, state, outs, extra_implied)
-            for state in states
-        }
-        for state in states:
-            if any(len(v) > 1 for v in implied[state]):
-                conflicts.append((state, state))
-        for i, a in enumerate(states):
-            for b in states[i + 1:]:
-                if any(
-                    len(va | vb) > 1
-                    for va, vb in zip(implied[a], implied[b])
-                ):
-                    conflicts.append((a, b))
+    for states in classes:
+        _class_conflicts(states, ones, zeros, mask, conflicts)
     return conflicts
 
 
@@ -120,10 +230,11 @@ def conflicted_outputs(graph, outputs=None, extra_codes=None):
     An output has a conflict exactly when, in some code class, its
     implied values are not one single value: two states of the class
     disagree (a pair conflict) or one merged state already carries both
-    (an intrinsic conflict).  The result equals ``{o for o in outputs
-    if csc_conflicts(graph, [o], extra_codes=extra_codes)}``, but the
-    code classes are built once and an output stops being examined as
-    soon as one class convicts it.
+    (an intrinsic conflict).  So a class convicts the outputs whose bits
+    are set in ``OR(ones) & OR(zeros)`` over its states.  The result
+    equals ``{o for o in outputs if csc_conflicts(graph, [o],
+    extra_codes=extra_codes)}``; the pass stops once every output is
+    convicted.
 
     Returns
     -------
@@ -131,23 +242,20 @@ def conflicted_outputs(graph, outputs=None, extra_codes=None):
         The conflicted subset of ``outputs`` (default: all non-input
         signals).
     """
-    pending = _analysis_outputs(graph, outputs)
-    conflicted = set()
-    for states in code_classes(graph, extra_codes).values():
-        found = set()
-        for output in pending:
-            values = set()
-            for state in states:
-                values |= graph.implied_values(state, output)
-                if len(values) > 1:
-                    found.add(output)
-                    break
-        if found:
-            conflicted |= found
-            pending = [o for o in pending if o not in found]
-            if not pending:
-                break
-    return conflicted
+    outs = _analysis_outputs(graph, outputs)
+    classes, ones, zeros, mask, index = _analysis(
+        graph, outs, extra_codes, None
+    )
+    convicted = 0
+    for states in classes:
+        one = zero = 0
+        for state in states:
+            one |= ones[state]
+            zero |= zeros[state]
+        convicted |= one & zero & mask
+        if convicted == mask:
+            break
+    return {output for output in outs if convicted >> index[output] & 1}
 
 
 def csc_conflicts_and_bound(graph, outputs=None, extra_codes=None,
@@ -155,35 +263,22 @@ def csc_conflicts_and_bound(graph, outputs=None, extra_codes=None,
     """Conflict pairs and the refined lower bound, in one pass.
 
     Equivalent to ``(csc_conflicts(...), csc_lower_bound(...))`` but the
-    per-state implied-value signatures -- the dominant cost -- are
-    computed once and shared.  This is the form the greedy input-set
-    derivation calls per candidate signal, where both numbers gate the
-    same removal decision.
+    code classes and masks are built once and shared.  This is the form
+    the greedy input-set derivation calls per candidate signal, where
+    both numbers gate the same removal decision.
     """
-    outs = _analysis_outputs(graph, outputs)
+    classes, ones, zeros, mask, _index = _analysis(
+        graph, outputs, extra_codes, extra_implied
+    )
     conflicts = []
     bound = 0
-    for states in code_classes(graph, extra_codes).values():
-        implied = {
-            state: _signature(graph, state, outs, extra_implied)
-            for state in states
-        }
-        signatures = set()
-        for state in states:
-            signature = implied[state]
-            if any(len(v) > 1 for v in signature):
-                conflicts.append((state, state))
-                bound = math.inf
-            signatures.add(signature)
-        if bound is not math.inf and len(signatures) > 1:
-            bound = max(bound, math.ceil(math.log2(len(signatures))))
-        for i, a in enumerate(states):
-            for b in states[i + 1:]:
-                if any(
-                    len(va | vb) > 1
-                    for va, vb in zip(implied[a], implied[b])
-                ):
-                    conflicts.append((a, b))
+    for states in classes:
+        if _class_conflicts(states, ones, zeros, mask, conflicts):
+            bound = math.inf
+        elif bound is not math.inf and len(states) > 1:
+            count = _signature_count(states, ones, zeros, mask)
+            if count > 1:
+                bound = max(bound, math.ceil(math.log2(count)))
     return conflicts, bound
 
 
@@ -240,15 +335,16 @@ def csc_lower_bound(graph, outputs=None, extra_codes=None, extra_implied=None):
     is infinite (``math.inf``) -- the greedy input-set derivation treats
     that as "removal not allowed".
     """
-    outs = _analysis_outputs(graph, outputs)
+    classes, ones, zeros, mask, _index = _analysis(
+        graph, outputs, extra_codes, extra_implied
+    )
     bound = 0
-    for states in code_classes(graph, extra_codes).values():
-        signatures = set()
+    for states in classes:
         for state in states:
-            signature = _signature(graph, state, outs, extra_implied)
-            if any(len(v) > 1 for v in signature):
+            if ones[state] & zeros[state] & mask:
                 return math.inf
-            signatures.add(signature)
-        if len(signatures) > 1:
-            bound = max(bound, math.ceil(math.log2(len(signatures))))
+        if len(states) > 1:
+            count = _signature_count(states, ones, zeros, mask)
+            if count > 1:
+                bound = max(bound, math.ceil(math.log2(count)))
     return bound

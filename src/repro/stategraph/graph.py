@@ -11,10 +11,30 @@ behind them.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
+from repro.logic.cover import pack_minterm
 from repro.stg.model import FALL, RISE
 
 #: Label of silent (ε) edges.
 EPSILON = None
+
+
+class ImpliedMasks(NamedTuple):
+    """Chu's implied values of every state, packed into ints.
+
+    ``codes[s]`` is state ``s``'s code, ``ones[s]`` has a signal's bit
+    set when its implied value in ``s`` may be 1 and ``zeros[s]`` when
+    it may be 0; ``index`` maps each signal to its bit, in the layout
+    :mod:`repro.logic.cover` owns.  A plain state has exactly one of the
+    two bits per signal; a merged (quotient) state carries every
+    member's, so both bits set is an intrinsic conflict.
+    """
+
+    codes: list
+    ones: list
+    zeros: list
+    index: dict
 
 
 class StateGraph:
@@ -73,8 +93,7 @@ class StateGraph:
         self.edges = []
         self._out = [[] for _ in self.codes]
         self._in = [[] for _ in self.codes]
-        self._excitation_cache = [None] * len(self.codes)
-        self._by_signal = None
+        self._drop_derived()
         for source, label, target in edges:
             if check:
                 self._check_edge(source, label, target)
@@ -115,6 +134,24 @@ class StateGraph:
                     f"edge {signal}{direction} from {source} to {target} "
                     f"changes unrelated signal {self.signals[i]!r}"
                 )
+
+    def _drop_derived(self):
+        """Reset the caches derived from the edges; rebuilt lazily."""
+        self._excitation_cache = [None] * len(self.codes)
+        self._by_signal = None
+        self._masks = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        for name in ("_excitation_cache", "_by_signal", "_masks"):
+            state.pop(name, None)
+        return state
+
+    def __setstate__(self, state):
+        # Records pickled with their caches (any layout) load too: the
+        # caches are dropped and derived again on first use.
+        self.__dict__.update(state)
+        self._drop_derived()
 
     # -- basic views --------------------------------------------------------
 
@@ -199,19 +236,42 @@ class StateGraph:
             if signal in self.non_inputs
         )
 
-    def implied_value(self, state, signal):
-        """The next-state value of ``signal`` in ``state``.
+    def implied_masks(self):
+        """Every state's implied values as :class:`ImpliedMasks`.
 
-        This is the value of the logic function implementing ``signal``:
-        the target value while the signal is excited, the current code bit
-        while it is stable (Chu's implied-value rule).
+        The implied value of a signal is the value of the logic function
+        implementing it: the target value while the signal is excited,
+        the current code bit while it is stable (Chu's rule).  Packed,
+        that is ``ones = (code & ~excited) | rising`` and ``zeros =
+        full ^ ones``, derived in one pass over the out-edges and cached
+        (graphs are immutable once built).  Bit ``i`` is ``signals[i]``.
         """
-        direction = self.excitation(state).get(signal)
-        if direction == RISE:
-            return 1
-        if direction == FALL:
-            return 0
-        return self.codes[state][self._index[signal]]
+        if self._masks is None:
+            bit = {s: 1 << i for i, s in enumerate(self.signals)}
+            full = (1 << len(self.signals)) - 1
+            codes, ones = [], []
+            for state, (code, out) in enumerate(zip(self.codes, self._out)):
+                packed = pack_minterm(code)
+                rising = falling = 0
+                for label, _target in out:
+                    if label is not EPSILON:
+                        signal, direction = label
+                        if direction == RISE:
+                            rising |= bit[signal]
+                        else:
+                            falling |= bit[signal]
+                if rising & falling:
+                    self.excitation(state)  # raises: both s+ and s-
+                codes.append(packed)
+                ones.append(packed & ~(rising | falling) | rising)
+            self._masks = ImpliedMasks(
+                codes, ones, [full ^ one for one in ones], dict(self._index)
+            )
+        return self._masks
+
+    def implied_value(self, state, signal):
+        """The next-state value (0/1) of ``signal`` in ``state``."""
+        return self.implied_masks().ones[state] >> self._index[signal] & 1
 
     def implied_values(self, state, signal):
         """Implied value as a frozenset, for interface parity with quotients."""

@@ -13,7 +13,12 @@ exactly the ``cover()`` relation used by the propagation step (Section
 from __future__ import annotations
 
 from repro import obs
-from repro.stategraph.graph import EPSILON, StateGraph
+from repro.stategraph.graph import EPSILON, ImpliedMasks, StateGraph
+
+#: ``frozenset`` of implied values by ``(one bit << 1) | zero bit``.
+_VALUE_SETS = (
+    frozenset(), frozenset((0,)), frozenset((1,)), frozenset((0, 1)),
+)
 
 
 class QuotientGraph:
@@ -40,6 +45,16 @@ class QuotientGraph:
         self.cover = cover
         self.blocks = blocks
         self.hidden = frozenset(hidden)
+        self._masks = None
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_masks", None)
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self._masks = None
 
     # Analysis interface shared with StateGraph ----------------------------
 
@@ -68,6 +83,33 @@ class QuotientGraph:
     def code_of(self, macro_state):
         return self.graph.code_of(macro_state)
 
+    def implied_masks(self):
+        """:class:`~repro.stategraph.graph.ImpliedMasks` of the macro states.
+
+        In the *base* graph's bit layout: a macro state's ``ones`` and
+        ``zeros`` are the OR of its members', and its code is its first
+        member's base code masked to the kept signals (the quotient
+        invariant makes every member agree there), so equal codes here
+        are equal codes of :attr:`graph`.  Cached, like the base's.
+        """
+        if self._masks is None:
+            base = self.base.implied_masks()
+            kept = 0
+            for signal in self.graph.signals:
+                kept |= 1 << base.index[signal]
+            base_ones, base_zeros = base.ones, base.zeros
+            codes, ones, zeros = [], [], []
+            for members in self.blocks:
+                one = zero = 0
+                for state in members:
+                    one |= base_ones[state]
+                    zero |= base_zeros[state]
+                codes.append(base.codes[members[0]] & kept)
+                ones.append(one)
+                zeros.append(zero)
+            self._masks = ImpliedMasks(codes, ones, zeros, base.index)
+        return self._masks
+
     def implied_values(self, macro_state, signal):
         """Implied values of ``signal`` across the covered base states.
 
@@ -76,10 +118,12 @@ class QuotientGraph:
         (an *intrinsic* conflict -- the situation the greedy input-set
         derivation must avoid creating).
         """
-        return frozenset(
-            self.base.implied_value(state, signal)
-            for state in self.blocks[macro_state]
-        )
+        masks = self.implied_masks()
+        bit = masks.index[signal]
+        return _VALUE_SETS[
+            (masks.ones[macro_state] >> bit & 1) << 1
+            | masks.zeros[macro_state] >> bit & 1
+        ]
 
     def is_ambiguous(self, macro_state, signal):
         return len(self.implied_values(macro_state, signal)) > 1

@@ -14,6 +14,12 @@ SAT encodings.  The one deliberate asymmetry of the shared interface is
 singleton set, while a quotient's merged state may return two values
 (an intrinsic conflict).  Analyses must treat the set-valued form as
 authoritative; ``implied_value`` (singular) is *not* part of the view.
+
+One member is optional, and so not declared on the protocol:
+``implied_masks()``, the same implied values packed into per-state ints
+(:class:`~repro.stategraph.graph.ImpliedMasks`).  Both concrete graphs
+provide it, cached; the conflict analyses derive it from ``code_of`` and
+``implied_values`` for a view that does not.
 """
 
 from __future__ import annotations

@@ -31,6 +31,9 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro import obs
+from repro.logic.cover import pack_minterm, unpack_minterm
+
 #: Verification levels, weakest to strongest.
 VERIFY_LEVELS = ("csc", "conformance", "hazards")
 
@@ -151,9 +154,15 @@ class ClosedLoop:
     States are ``(vector, spec_state)`` pairs; moves are input firings
     Σ enables, specification-output firings of excited gates (Σ
     advances with the circuit), and state-signal firings (Σ holds
-    still).  One instance serves both the checker's BFS and trace
-    replay, so a recorded counterexample replays on exactly the
-    semantics that produced it.
+    still).  One move generator, :meth:`packed_moves`, works on packed
+    vectors (ints, bit ``i`` is ``circuit.signals[i]``) and serves both
+    the checker's BFS and trace replay, so a recorded counterexample
+    replays on exactly the semantics that produced it.  :meth:`initial`,
+    :meth:`moves` and :meth:`step` are its tuple-vector form.
+
+    Each vector's gates are evaluated once per instance
+    (:meth:`excited_mask` memoises them), and Σ's enabled edges once
+    per Σ state.
     """
 
     def __init__(self, circuit, graph):
@@ -170,6 +179,111 @@ class ClosedLoop:
         self.state_signals = tuple(
             s for s in circuit.signals if s not in spec_signals
         )
+        self._bit = {s: 1 << i for i, s in enumerate(circuit.signals)}
+        self._name = {bit: s for s, bit in self._bit.items()}
+        self.state_mask = sum(self._bit[s] for s in self.state_signals)
+        self._excited = {}  # packed vector -> excited gates' bits
+        self._spec = {}  # Σ state -> (enabled, input moves, outputs)
+
+    # -- the packed form -----------------------------------------------------
+
+    def excited_mask(self, code):
+        """Bits of the gates excited at the packed vector ``code``."""
+        excited = self._excited.get(code)
+        if excited is None:
+            excited = self._excited[code] = self.circuit.excited_mask(code)
+        return excited
+
+    def signals_of(self, mask):
+        """Names of the signals whose bits are set in ``mask``, in
+        signal order."""
+        names = []
+        while mask:
+            low = mask & -mask
+            names.append(self._name[low])
+            mask ^= low
+        return names
+
+    def _spec_state(self, spec_state):
+        """``(enabled, input moves, required outputs)`` of a Σ state.
+
+        ``enabled`` maps each signal of Σ's out-edges to its target;
+        input moves are ``(signal, bit, target)`` and required outputs
+        ``(signal, bit)``, both in out-edge order.
+        """
+        entry = self._spec.get(spec_state)
+        if entry is None:
+            enabled = {}
+            for label, target in self.graph.out_edges(spec_state):
+                enabled[label[0]] = target
+            inputs, bit_of = self.circuit.inputs, self._bit
+            input_moves, outputs = [], []
+            for signal, target in enabled.items():
+                if signal in inputs:
+                    input_moves.append((signal, bit_of[signal], target))
+                else:
+                    outputs.append((signal, bit_of[signal]))
+            entry = self._spec[spec_state] = (enabled, input_moves, outputs)
+        return entry
+
+    def packed_initial(self, initial_vector=None):
+        """:meth:`initial` with the vector packed."""
+        vector, spec_state = self.initial(initial_vector)
+        return (pack_minterm(vector), spec_state)
+
+    def packed_moves(self, code, spec_state):
+        """``(moves, excited, unexpected)`` at the packed state.
+
+        ``moves`` is a list of ``(fired, bit, next_state)`` with
+        ``next_state`` packed; ``excited`` the excited gates' bits;
+        ``unexpected`` the excited specification outputs Σ forbids (they
+        are *not* moves -- the loop must not be explored past an illegal
+        firing).  Inputs come first in Σ's out-edge order, then excited
+        gates in signal order.
+        """
+        # The memo lookups are inlined: this runs once per explored state.
+        enabled, input_moves, _outputs = (
+            self._spec.get(spec_state) or self._spec_state(spec_state)
+        )
+        excited = self._excited.get(code)
+        if excited is None:
+            excited = self.excited_mask(code)
+        moves = [
+            (signal, bit, (code ^ bit, target))
+            for signal, bit, target in input_moves
+        ]
+        unexpected = []
+        rest = excited
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            signal = self._name[bit]
+            if signal in self.spec_signals:
+                target = enabled.get(signal)
+                if target is None:
+                    unexpected.append(signal)
+                    continue
+                moves.append((signal, bit, (code ^ bit, target)))
+            else:
+                moves.append((signal, bit, (code ^ bit, spec_state)))
+        return moves, excited, unexpected
+
+    def packed_step(self, state, fired):
+        """The packed successor after ``fired``; raises
+        :class:`TraceReplayError` when ``fired`` is not a legal move."""
+        for signal, _bit, successor in self.packed_moves(*state)[0]:
+            if signal == fired:
+                return successor
+        raise TraceReplayError(
+            f"{fired!r} is not enabled at the replayed state"
+        )
+
+    def unpack(self, state):
+        """The tuple-vector form of a packed state."""
+        code, spec_state = state
+        return (unpack_minterm(code, len(self.circuit.signals)), spec_state)
+
+    # -- the tuple form ------------------------------------------------------
 
     def initial(self, initial_vector=None):
         """The reset state ``(vector, graph.initial)``."""
@@ -183,48 +297,31 @@ class ClosedLoop:
 
     def spec_enabled(self, spec_state):
         """``signal -> target spec state`` for Σ's outgoing edges."""
-        return {
-            label[0]: target
-            for label, target in self.graph.out_edges(spec_state)
-        }
+        return dict(self._spec_state(spec_state)[0])
 
     def moves(self, state):
-        """``(moves, excited, unexpected)`` at one closed-loop state.
+        """:meth:`packed_moves` at a ``(vector, spec_state)`` state.
 
-        ``moves`` is a list of ``(fired, next_state)`` pairs;
-        ``excited`` the excited gate names; ``unexpected`` the excited
-        specification outputs Σ forbids (they are *not* moves -- the
-        loop must not be explored past an illegal firing).
+        ``moves`` is a list of ``(fired, next_state)`` pairs and
+        ``excited`` the excited gate names.
         """
         vector, spec_state = state
-        circuit = self.circuit
-        enabled = self.spec_enabled(spec_state)
-        excited = circuit.excited(vector)
-        moves = []
-        unexpected = []
-        for signal, target in enabled.items():
-            if signal in circuit.inputs:
-                moves.append((signal, (circuit.fire(vector, signal), target)))
-        for signal in excited:
-            next_vector = circuit.fire(vector, signal)
-            if signal in self.spec_signals:
-                target = enabled.get(signal)
-                if target is None:
-                    unexpected.append(signal)
-                    continue
-                moves.append((signal, (next_vector, target)))
-            else:
-                moves.append((signal, (next_vector, spec_state)))
-        return moves, excited, unexpected
+        moves, excited, unexpected = self.packed_moves(
+            pack_minterm(vector), spec_state
+        )
+        return (
+            [(fired, self.unpack(successor))
+             for fired, _bit, successor in moves],
+            self.signals_of(excited),
+            unexpected,
+        )
 
     def step(self, state, fired):
         """The successor after ``fired``; raises
         :class:`TraceReplayError` when ``fired`` is not a legal move."""
-        for signal, successor in self.moves(state)[0]:
-            if signal == fired:
-                return successor
-        raise TraceReplayError(
-            f"{fired!r} is not enabled at the replayed state"
+        vector, spec_state = state
+        return self.unpack(
+            self.packed_step((pack_minterm(vector), spec_state), fired)
         )
 
 
@@ -291,7 +388,10 @@ def check_circuit(circuit, graph, level="hazards", budget=None,
         )
     loop = ClosedLoop(circuit, graph)
     check_hazards = level == "hazards"
-    initial = loop.initial(initial_vector)
+    initial = loop.packed_initial(initial_vector)
+    # The loop's per-vector memo, read inline in the once-per-move
+    # persistency check.
+    evaluated = loop._excited
 
     seen = {initial: None}  # state -> (previous state, fired signal)
     queue = deque([initial])
@@ -307,13 +407,17 @@ def check_circuit(circuit, graph, level="hazards", budget=None,
             trace.append(fired)
         return tuple(reversed(trace))
 
-    def record(kind, signal, vector, trace, detail):
+    def record(kind, signal, state, detail, fired=None):
         if (kind, signal) in flagged:
             return
         flagged.add((kind, signal))
-        violations.append(
-            Counterexample(kind, signal, trace, vector=vector, detail=detail)
-        )
+        trace = trace_of(state)
+        if fired is not None:
+            trace += (fired,)
+        violations.append(Counterexample(
+            kind, signal, trace, vector=loop.unpack(state)[0],
+            detail=detail,
+        ))
 
     while queue and len(violations) < max_violations:
         if len(seen) > max_states:
@@ -325,57 +429,58 @@ def check_circuit(circuit, graph, level="hazards", budget=None,
                 budget.checkpoint("verify")
             budget.check_states(len(seen), point="verify")
         state = queue.popleft()
-        vector, spec_state = state
-        moves, excited, unexpected = loop.moves(state)
+        moves, excited, unexpected = loop.packed_moves(*state)
 
         for signal in unexpected:
             record(
-                "unexpected-output", signal, vector, trace_of(state),
+                "unexpected-output", signal, state,
                 f"circuit excites {signal} but the specification does "
                 f"not enable it",
             )
 
         # Missing-output check: with the state signals settled, the
         # excited outputs must cover everything Σ enables.
-        if all(s not in excited for s in loop.state_signals):
-            for signal, _target in loop.spec_enabled(spec_state).items():
-                if signal not in circuit.inputs and signal not in excited:
+        if not excited & loop.state_mask:
+            for signal, bit in loop._spec[state[1]][2]:
+                if not excited & bit:
                     record(
-                        "missing-output", signal, vector, trace_of(state),
+                        "missing-output", signal, state,
                         f"state signals settled but {signal} is not "
                         f"excited although the specification requires it",
                     )
 
         if not moves:
             record(
-                "deadlock", None, vector, trace_of(state),
+                "deadlock", None, state,
                 "closed loop is stuck although the specification is live",
             )
             continue
 
-        excited_set = set(excited)
-        for fired, successor in moves:
+        for fired, bit, successor in moves:
             if check_hazards:
                 # Excitation persistency (semi-modularity): every gate
                 # excited before the firing stays excited or fired.
-                after = set(circuit.excited(successor[0]))
-                for signal in excited_set:
-                    if signal != fired and signal not in after:
-                        kind = (
-                            "output-hazard"
-                            if signal in loop.spec_signals
-                            else "semi-modularity"
-                        )
-                        record(
-                            kind, signal, vector,
-                            trace_of(state) + (fired,),
-                            f"firing {fired} disables the excited "
-                            f"gate {signal} without it firing",
-                        )
+                after = evaluated.get(successor[0])
+                if after is None:
+                    after = loop.excited_mask(successor[0])
+                lost = excited & ~bit & ~after
+                for signal in loop.signals_of(lost) if lost else ():
+                    kind = (
+                        "output-hazard"
+                        if signal in loop.spec_signals
+                        else "semi-modularity"
+                    )
+                    record(
+                        kind, signal, state,
+                        f"firing {fired} disables the excited "
+                        f"gate {signal} without it firing",
+                        fired,
+                    )
             if successor not in seen:
                 seen[successor] = (state, fired)
                 queue.append(successor)
 
+    obs.add("verify_vectors", len(evaluated))
     return VerifyReport(
         level,
         checks=(
@@ -410,7 +515,9 @@ def verify_result(result, stg=None, level="hazards", budget=None,
             f"level must be one of {VERIFY_LEVELS}, not {level!r}"
         )
     violations = []
-    for first, second in csc_conflicts(result.expanded)[:max_violations]:
+    with obs.span("csc"):
+        conflicts = csc_conflicts(result.expanded)[:max_violations]
+    for first, second in conflicts:
         violations.append(
             Counterexample(
                 "csc-conflict",
@@ -431,11 +538,12 @@ def verify_result(result, stg=None, level="hazards", budget=None,
     )
     circuit = Circuit.from_synthesis(result, inputs)
     initial_vector = tuple(result.expanded.code_of(result.expanded.initial))
-    closed = check_circuit(
-        circuit, result.graph, level=level, budget=budget,
-        max_states=max_states, max_violations=max_violations,
-        initial_vector=initial_vector,
-    )
+    with obs.span("explore"):
+        closed = check_circuit(
+            circuit, result.graph, level=level, budget=budget,
+            max_states=max_states, max_violations=max_violations,
+            initial_vector=initial_vector,
+        )
     return VerifyReport(
         level,
         checks=("csc",) + closed.checks,
@@ -443,6 +551,16 @@ def verify_result(result, stg=None, level="hazards", budget=None,
         states_explored=closed.states_explored,
         truncated=closed.truncated,
     )
+
+
+def _replay(loop, trace, initial_vector):
+    """The packed states visited firing ``trace`` from reset."""
+    state = loop.packed_initial(initial_vector)
+    states = [state]
+    for fired in trace:
+        state = loop.packed_step(state, fired)
+        states.append(state)
+    return states
 
 
 def replay_trace(circuit, graph, trace, initial_vector=None):
@@ -454,12 +572,8 @@ def replay_trace(circuit, graph, trace, initial_vector=None):
     pins.
     """
     loop = ClosedLoop(circuit, graph)
-    state = loop.initial(initial_vector)
-    states = [state]
-    for fired in trace:
-        state = loop.step(state, fired)
-        states.append(state)
-    return states
+    return [loop.unpack(state)
+            for state in _replay(loop, trace, initial_vector)]
 
 
 def replay_counterexample(circuit, graph, cex, initial_vector=None):
@@ -473,6 +587,10 @@ def replay_counterexample(circuit, graph, cex, initial_vector=None):
     Raises :class:`TraceReplayError` when the trace itself is illegal.
     """
     loop = ClosedLoop(circuit, graph)
+
+    def excited(state):
+        return loop.signals_of(loop.excited_mask(state[0]))
+
     if cex.kind == "csc-conflict":
         raise TraceReplayError(
             "csc-conflict counterexamples are static (no firing trace)"
@@ -480,33 +598,27 @@ def replay_counterexample(circuit, graph, cex, initial_vector=None):
     if cex.kind in ("output-hazard", "semi-modularity"):
         if not cex.trace:
             return False
-        states = replay_trace(
-            circuit, graph, cex.trace[:-1], initial_vector
-        )
-        vector, _ = states[-1]
-        if cex.signal not in circuit.excited(vector):
+        state = _replay(loop, cex.trace[:-1], initial_vector)[-1]
+        if cex.signal not in excited(state):
             return False
         last = cex.trace[-1]
         if last == cex.signal:
             return False
-        after, _ = loop.step(states[-1], last)
-        return cex.signal not in circuit.excited(after)
+        return cex.signal not in excited(loop.packed_step(state, last))
 
-    states = replay_trace(circuit, graph, cex.trace, initial_vector)
-    vector, spec_state = states[-1]
-    enabled = loop.spec_enabled(spec_state)
-    excited = circuit.excited(vector)
+    state = _replay(loop, cex.trace, initial_vector)[-1]
+    enabled = loop.spec_enabled(state[1])
+    names = excited(state)
     if cex.kind == "unexpected-output":
-        return cex.signal in excited and cex.signal not in enabled
+        return cex.signal in names and cex.signal not in enabled
     if cex.kind == "missing-output":
-        settled = all(s not in excited for s in loop.state_signals)
+        settled = all(s not in names for s in loop.state_signals)
         return (
             settled
             and cex.signal in enabled
             and cex.signal not in circuit.inputs
-            and cex.signal not in excited
+            and cex.signal not in names
         )
     if cex.kind == "deadlock":
-        moves, _, _ = loop.moves(states[-1])
-        return not moves
+        return not loop.packed_moves(*state)[0]
     raise TraceReplayError(f"unknown counterexample kind {cex.kind!r}")

@@ -6,8 +6,10 @@ speed-independent implementation style the paper targets: the state
 signals' covers feed back like any other signal).
 
 Gates evaluate on ints: each cover is compiled once to ``(value, care)``
-cubes and a value vector is packed into one int per evaluation, in the
-bit layout :mod:`repro.logic.cover` owns.
+cubes, and a value vector is one int in the bit layout
+:mod:`repro.logic.cover` owns (bit ``i`` is ``signals[i]``).
+:meth:`Circuit.excited_mask` evaluates every gate on such an int; the
+tuple methods pack their vector and call it.
 """
 
 from __future__ import annotations
@@ -55,6 +57,10 @@ class Circuit:
             signal: tuple(cube.mask() for cube in cover)
             for signal, cover in self.covers.items()
         }
+        self._gates = tuple(
+            (1 << self._index[signal], self._cubes[signal])
+            for signal in self.non_inputs
+        )
 
     @classmethod
     def from_synthesis(cls, result, stg_inputs):
@@ -79,14 +85,27 @@ class Circuit:
         """The gate output of ``signal`` for the given value vector."""
         return _output(self._cubes[signal], pack_minterm(vector))
 
+    def excited_mask(self, code):
+        """Bits of the non-inputs whose gate output differs from their
+        value in the packed vector ``code``."""
+        excited = 0
+        for bit, cubes in self._gates:
+            for value, care in cubes:
+                if not (code ^ value) & care:
+                    if not code & bit:
+                        excited |= bit
+                    break
+            else:
+                if code & bit:
+                    excited |= bit
+        return excited
+
     def excited(self, vector):
         """Non-input signals whose gate output differs from their value."""
-        code = pack_minterm(vector)
+        excited = self.excited_mask(pack_minterm(vector))
         return [
-            signal
-            for signal in self.non_inputs
-            if _output(self._cubes[signal], code)
-            != vector[self._index[signal]]
+            signal for signal in self.non_inputs
+            if excited >> self._index[signal] & 1
         ]
 
     def fire(self, vector, signal):

@@ -12,6 +12,7 @@ from repro.bench.suite import benchmark_names, load_benchmark
 from repro.csc import modular_synthesis
 from repro.logic import celement, extract
 from repro.logic.celement import synthesize_celements
+from repro.logic.cover import unpack_minterm
 from repro.logic.espresso import (
     _MAX_ROUNDS,
     _cost,
@@ -23,6 +24,7 @@ from repro.logic.espresso import (
     _to_int,
     _var_order,
     espresso,
+    espresso_ints,
     verify_cover,
 )
 
@@ -233,23 +235,33 @@ def _check_against_reference(onset, offset, n):
     cover = espresso(onset, offset, n)
     assert cover.n == n
     assert [cube.mask() for cube in cover] == expected
+    assert espresso_ints(on_ints, off_ints, n) == cover
 
 
 @functools.lru_cache(maxsize=None)
 def _recorded_calls(name):
     """Every ``(onset, offset, n)`` espresso receives while one spec is
-    synthesised and realised as C-elements."""
+    synthesised and realised as C-elements.  ``synthesize_logic`` sends
+    packed ints to ``espresso_ints``; they are recorded as tuples."""
     calls = []
 
     def recording(onset, offset, n):
         calls.append((tuple(onset), tuple(offset), n))
         return espresso(onset, offset, n)
 
+    def recording_ints(onset, offset, n):
+        calls.append((
+            tuple(unpack_minterm(m, n) for m in onset),
+            tuple(unpack_minterm(m, n) for m in offset),
+            n,
+        ))
+        return espresso_ints(onset, offset, n)
+
     if name in benchmark_names():
         stg = load_benchmark(name)
     else:
         stg = {g.name: g.stg for g in generated_corpus()}[name]
-    with mock.patch.object(extract, "espresso", recording), \
+    with mock.patch.object(extract, "espresso_ints", recording_ints), \
             mock.patch.object(celement, "espresso", recording):
         result = modular_synthesis(stg)
         synthesize_celements(result.expanded)

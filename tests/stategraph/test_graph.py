@@ -137,3 +137,33 @@ class TestViews:
 
     def test_repr(self):
         assert "states=2" in repr(two_state())
+
+
+class TestPickling:
+    def test_derived_caches_are_dropped_and_rebuilt(self):
+        import pickle
+
+        from repro.stg import parse_g
+        from repro.stategraph import build_state_graph, quotient
+
+        from tests.example_stgs import CONCURRENT
+
+        graph = build_state_graph(parse_g(CONCURRENT))
+        masks = graph.implied_masks()
+        excitation = [graph.excitation(s) for s in graph.states()]
+        graph.edges_by_signal(EPSILON)
+        projection = quotient(graph, ["x"])
+        projected = projection.implied_masks()
+        clean = pickle.dumps(build_state_graph(parse_g(CONCURRENT)))
+        assert len(pickle.dumps(graph)) == len(clean)
+        for loaded in (pickle.loads(pickle.dumps(graph)),
+                       pickle.loads(pickle.dumps(projection)).base):
+            assert loaded._masks is None and loaded._by_signal is None
+            assert loaded._excitation_cache == [None] * graph.num_states
+            assert loaded.implied_masks() == masks
+            assert [loaded.excitation(s) for s in loaded.states()] == (
+                excitation
+            )
+        loaded = pickle.loads(pickle.dumps(projection))
+        assert loaded._masks is None
+        assert loaded.implied_masks() == projected

@@ -142,6 +142,71 @@ def test_warm_cache_run_is_byte_identical(spec, tmp_path, capsys):
     assert warm == cold  # includes the recorded seconds
 
 
+def _pickled_with_every_cache(path):
+    """Rewrite one cache record the way it was written while graphs
+    pickled their derived caches: every attribute, excitation cache and
+    by-signal index filled in, and no implied-value masks."""
+    import copyreg
+    import io
+    import pickle
+
+    from repro.stategraph import EPSILON, QuotientGraph, StateGraph
+
+    def old_layout(obj):
+        if isinstance(obj, StateGraph):
+            for state in obj.states():
+                obj.excitation(state)
+            obj.edges_by_signal(EPSILON)
+        state = {
+            name: value for name, value in vars(obj).items()
+            if name != "_masks"
+        }
+        return copyreg.__newobj__, (type(obj),), state
+
+    with open(path, "rb") as handle:
+        record = pickle.load(handle)
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.dispatch_table = dict(copyreg.dispatch_table)
+    pickler.dispatch_table[StateGraph] = old_layout
+    pickler.dispatch_table[QuotientGraph] = old_layout
+    pickler.dump(record)
+    assert b"_excitation_cache" in buffer.getvalue()
+    with open(path, "wb") as handle:
+        handle.write(buffer.getvalue())
+
+
+def test_record_pickled_with_derived_caches_still_loads(tmp_path, capsys):
+    # Graphs no longer pickle their derived caches, and rebuild them on
+    # load; a record from before that (same salt: the results are
+    # unchanged) must load, verify and print what the cold run printed.
+    import os
+    from importlib import resources
+
+    from repro import obs
+
+    spec = str(resources.files("repro.data").joinpath("nak-pa.g"))
+    cache = str(tmp_path / "cache")
+    assert main([spec, "--cache-dir", cache]) == 0
+    cold = capsys.readouterr().out
+    assert "conformance verified" in cold
+    records = [
+        os.path.join(root, name)
+        for root, _, files in os.walk(cache)
+        for name in files
+        if name.endswith(".rec")
+    ]
+    assert records
+    for path in records:
+        _pickled_with_every_cache(path)
+    with obs.tracing() as tracer:
+        assert main([spec, "--cache-dir", cache]) == 0
+    counters = tracer.counter_totals()
+    assert counters["result_cache_hits"] >= 1
+    assert "result_cache_stale" not in counters
+    assert capsys.readouterr().out == cold
+
+
 def test_no_cache_ignores_cache_dir(spec, tmp_path, capsys):
     cache = str(tmp_path / "cache")
     import os

@@ -177,6 +177,39 @@ def test_metrics_tree_splits_minimize_into_espresso_phases(capsys):
     assert children == ["expand", "irredundant", "reduce"]
 
 
+def test_verify_span_splits_into_csc_and_explore(tmp_path, monkeypatch,
+                                                capsys):
+    # The static CSC re-check and the closed loop are the verify span's
+    # two children.  The loop evaluates each distinct circuit vector's
+    # gates once; the journal-only ``verify_vectors`` counts them.  On
+    # alex-nonfc some vectors recur with different specification states,
+    # so there are fewer of them than explored states.
+    from repro.obs import build_forest, walk_forest
+    from repro.verify.circuit import Circuit
+
+    evaluations = []
+    evaluate = Circuit.excited_mask
+
+    def counting(self, code):
+        evaluations.append(code)
+        return evaluate(self, code)
+
+    monkeypatch.setattr(Circuit, "excited_mask", counting)
+    spec = resources.files("repro.data").joinpath("alex-nonfc.g")
+    trace = tmp_path / "run.jsonl"
+    assert main([str(spec), "--quiet", "--json", "--trace", str(trace)]) == 0
+    document = json.loads(capsys.readouterr().out)
+    nodes = list(walk_forest(build_forest(load_journal(str(trace)))))
+    (verify,) = [node for node in nodes if node.name == "verify"]
+    assert [child.name for child in verify.children] == ["csc", "explore"]
+    explore = verify.children[1]
+    vectors = explore.counters.as_dict()["verify_vectors"]
+    assert vectors == len(evaluations) == len(set(evaluations))
+    states = verify.counters.as_dict()["verify_states"]
+    assert 0 < vectors < states == document["verify"]["states"]
+    assert "verify_vectors" not in document["counters"]
+
+
 def test_metrics_prom_writes_valid_exposition_page(spec, tmp_path, capsys):
     from repro.obs import validate_prometheus_text
 
