@@ -163,11 +163,13 @@ def lavagno_synthesis(stg, options=None):
     from repro.csc.synthesis import _repair
 
     with obs.span("repair"):
-        assignment, expanded, repair_attempts = _repair(
+        assignment, _model, repair_attempts = _repair(
             graph, assignment, limits, 12, signal_prefix, engine
         )
     if repair_attempts:
         rounds.append(repair_attempts)
+    with obs.span("expand"):
+        expanded = expand(graph, assignment)
     assert_csc(expanded, context="lavagno baseline result")
     from repro.csc.synthesis import _assert_realizable
 

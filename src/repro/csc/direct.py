@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro import obs
 from repro.csc.assignment import Assignment
-from repro.csc.insertion import expand
+from repro.csc.insertion import ExpandedModel, expand
 from repro.csc.solve import DEFAULT_MAX_SIGNALS, solve_state_signals
 from repro.csc.verify import assert_csc
 from repro.obs import Stopwatch
@@ -86,12 +86,14 @@ def solve_csc_direct(graph, limits=None, max_signals=DEFAULT_MAX_SIGNALS,
     only surface as a CSC violation after expansion.  Those violations are
     mapped back to state pairs, added as extra distinction constraints,
     and the formula is re-solved (a verify-and-refine loop standing in for
-    the concurrency terms of the original formulation).
+    the concurrency terms of the original formulation).  Each round reads
+    the violations off the assignment's
+    :class:`~repro.csc.insertion.ExpandedModel`, as the repair pass does.
 
-    Returns ``(assignment, outcome, expanded)``.
+    Returns ``(assignment, outcome, model)``, ``model`` being the final
+    assignment's expanded model.
     """
     from repro.csc.errors import SynthesisError
-    from repro.stategraph.csc import csc_conflicts
 
     extra_pairs = []
     attempts = []
@@ -108,16 +110,11 @@ def solve_csc_direct(graph, limits=None, max_signals=DEFAULT_MAX_SIGNALS,
         outcome.attempts = attempts
         names = [f"{signal_prefix}{k}" for k in range(outcome.m)]
         assignment = Assignment(names, outcome.rows)
-        expanded, origins = expand(graph, assignment, return_origins=True)
-        violations = csc_conflicts(expanded)
-        if not violations:
-            return assignment, outcome, expanded
-        new_pairs = set()
-        for p, q in violations:
-            a, b = sorted((origins[p], origins[q]))
-            if a != b:
-                new_pairs.add((a, b))
-        new_pairs -= set(extra_pairs)
+        with obs.span("model"):
+            model = ExpandedModel(graph, assignment)
+            if not model.conflicts:
+                return assignment, outcome, model
+            new_pairs = model.conflict_pairs() - set(extra_pairs)
         if not new_pairs:
             raise SynthesisError(
                 "expansion-level CSC violations could not be mapped to new "
@@ -159,7 +156,7 @@ def direct_synthesis(stg, options=None):
     else:
         graph = build_state_graph(stg, budget=budget)
 
-    assignment, outcome, expanded = solve_csc_direct(
+    assignment, outcome, model = solve_csc_direct(
         graph, limits=opts.limits,
         max_signals=opts.resolved_max_signals(DEFAULT_MAX_SIGNALS),
         signal_prefix=opts.resolved_prefix("csc"), engine=opts.engine,
@@ -169,8 +166,9 @@ def direct_synthesis(stg, options=None):
         from repro.csc.polish import polish_assignment
 
         with obs.span("polish"):
-            assignment = polish_assignment(graph, assignment)
-            expanded = expand(graph, assignment)
+            assignment = polish_assignment(assignment, model)
+    with obs.span("expand"):
+        expanded = expand(graph, assignment)
     assert_csc(expanded, context="direct synthesis result")
     from repro.csc.synthesis import _assert_realizable
 

@@ -16,7 +16,7 @@ from repro import obs
 from repro.csc.assignment import Assignment
 from repro.csc.errors import CscError, SynthesisError
 from repro.csc.input_set import determine_input_set
-from repro.csc.insertion import expand
+from repro.csc.insertion import ExpandedModel, expand
 from repro.csc.modular import partition_sat
 from repro.csc.propagate import propagate
 from repro.csc.solve import DEFAULT_MAX_SIGNALS, solve_state_signals
@@ -34,7 +34,7 @@ from repro.runtime.report import (
     RunReport,
 )
 from repro.stategraph.build import build_state_graph
-from repro.stategraph.csc import conflicted_outputs, csc_conflicts
+from repro.stategraph.csc import conflicted_outputs
 from repro.stategraph.graph import StateGraph
 from repro.sat.solver import Limits
 
@@ -287,9 +287,12 @@ def modular_synthesis(stg, options=None):
                 budget=budget, fallback=fallback, degrade=degrade,
                 cache=cache, prescan=prescan, clean=clean,
             )
+        # Only the module loop reads the projections: free them before
+        # repair, polish and the expansion allocate their own.
+        del cache, root, prescan
 
         with obs.span("repair"):
-            assignment, expanded, repair_attempts = _repair(
+            assignment, model, repair_attempts = _repair(
                 graph, assignment, limits, max_signals, signal_prefix,
                 engine, budget=budget, fallback=fallback,
                 sat_mode=sat_mode, clean_on_sigma=not on_sigma,
@@ -300,13 +303,10 @@ def modular_synthesis(stg, options=None):
             if budget is not None:
                 budget.checkpoint("polish")
             with obs.span("polish"):
-                polished = polish_assignment(graph, assignment)
-                # Polish hands back its input when it has nothing to do;
-                # the graph _repair expanded then still stands.
-                if polished is not assignment:
-                    assignment = polished
-                    expanded = expand(graph, assignment)
+                assignment = polish_assignment(assignment, model)
         _assert_realizable(graph, assignment)
+        with obs.span("expand"):
+            expanded = expand(graph, assignment)
 
         covers = literals = None
         if opts.minimize:
@@ -549,16 +549,20 @@ def _repair(graph, assignment, limits, max_signals, signal_prefix, engine,
             clean_on_sigma=False):
     """Resolve residual conflicts until the expanded graph satisfies CSC.
 
-    Each round: expand, look for CSC violations among expanded states, map
-    them back to Σ state pairs, and solve a (small) whole-graph formula
-    that distinguishes them on top of the existing assignment.
+    Each round builds the assignment's
+    :class:`~repro.csc.insertion.ExpandedModel` (in a ``model`` span),
+    reads the Σ state pairs behind its CSC conflicts, and solves a
+    (small) whole-graph formula that distinguishes them on top of the
+    existing assignment.  Returns ``(assignment, model, attempts)``:
+    ``model`` is the final assignment's, for polish to start from, or
+    ``None`` when the search below was skipped.
 
     ``clean_on_sigma`` says the conflict pass found no conflicted
     non-input on Σ's ε-only projection.  With no state signal inserted,
     that already decides CSC: a code class there holds one implied value
     per non-input (merged ε-blocks carry every member's), and with equal
     codes equal implied values mean equal non-input excitation.  The
-    first round then skips its conflict search.
+    first round then skips its conflict search and builds no model.
     """
     repair_attempts = []
     extra_pairs = []
@@ -566,18 +570,13 @@ def _repair(graph, assignment, limits, max_signals, signal_prefix, engine,
         if budget is not None:
             budget.checkpoint("repair")
         obs.add("repair_rounds")
-        expanded, origins = expand(graph, assignment, return_origins=True)
         if clean_on_sigma and not assignment.num_signals:
-            return assignment, expanded, repair_attempts
-        violations = csc_conflicts(expanded)
-        if not violations:
-            return assignment, expanded, repair_attempts
-        new_pairs = set()
-        for p, q in violations:
-            a, b = sorted((origins[p], origins[q]))
-            if a != b:
-                new_pairs.add((a, b))
-        new_pairs -= set(extra_pairs)
+            return assignment, None, repair_attempts
+        with obs.span("model"):
+            model = ExpandedModel(graph, assignment)
+            if not model.conflicts:
+                return assignment, model, repair_attempts
+            new_pairs = model.conflict_pairs() - set(extra_pairs)
         if not new_pairs:
             raise SynthesisError(
                 "repair pass cannot make progress on expansion-level "

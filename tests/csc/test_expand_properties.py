@@ -4,10 +4,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.csc import Assignment, Value, expand
+from repro.csc.insertion import ExpandedModel
 from repro.csc.values import CYCLE, edge_compatible
 from repro.stategraph import build_state_graph
 from repro.stg import parse_g
 
+from tests.csc.test_insertion import expansion_keys, model_keys
 from tests.example_stgs import CSC_CONFLICT
 
 GRAPH = build_state_graph(parse_g(CSC_CONFLICT))
@@ -51,14 +53,14 @@ def test_expansion_codes_consistent(values):
 
 @settings(max_examples=200, deadline=None)
 @given(cycle_assignment())
-def test_origins_cover_every_state(values):
+def test_model_copies_cover_every_state(values):
     assignment = Assignment(("n0",), [(v,) for v in values])
-    expanded, origins = expand(GRAPH, assignment, return_origins=True)
-    assert len(origins) == expanded.num_states
-    assert set(origins) == set(GRAPH.states())
-    # Each original state maps to one or two expanded states.
+    expanded = expand(GRAPH, assignment)
+    model = ExpandedModel(GRAPH, assignment)
+    assert model_keys(model) == expansion_keys(GRAPH, expanded)
+    # Each original state stands for one or two expanded states.
     for state in GRAPH.states():
-        count = origins.count(state)
+        count = len(model._keys[state])
         expected = 2 if values[state].excited else 1
         assert count == expected
 

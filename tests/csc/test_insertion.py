@@ -1,9 +1,12 @@
 """Unit tests for state-graph expansion with state signals."""
 
+from collections import Counter
+
 import pytest
 
 from repro.csc import Assignment, Value, expand
 from repro.csc.errors import SynthesisError
+from repro.csc.insertion import ExpandedModel
 from repro.stg import parse_g
 from repro.stategraph import build_state_graph, csc_conflicts
 
@@ -19,6 +22,29 @@ def cycle_assignment(graph):
         (Value.UP,), (Value.ONE,), (Value.DOWN,),
     ]
     return Assignment(("n0",), values)
+
+
+def model_keys(model):
+    """The ``(code, signature)`` of every copy the model keeps."""
+    return Counter(key for keys in model._keys for key in keys)
+
+
+def expansion_keys(graph, expanded):
+    """The same keys read off the expanded graph: the code with Σ's bits
+    above the state signals', and the excited non-inputs likewise."""
+    base = len(graph.signals)
+    width = len(expanded.signals) - base
+    keys = Counter()
+    for state in expanded.states():
+        code = signature = 0
+        excited = expanded.excitation(state)
+        for i, signal in enumerate(expanded.signals):
+            at = i + width if i < base else i - base
+            code |= expanded.value(state, signal) << at
+            if signal in excited and signal in expanded.non_inputs:
+                signature |= 1 << at
+        keys[code, signature] += 1
+    return keys
 
 
 class TestExpansion:
@@ -46,13 +72,14 @@ class TestExpansion:
         expanded = expand(graph, cycle_assignment(graph))
         assert csc_conflicts(expanded) == []
 
-    def test_origins_returned(self):
+    def test_model_copies_match_expansion(self):
         graph = build_state_graph(parse_g(CSC_CONFLICT))
-        expanded, origins = expand(
-            graph, cycle_assignment(graph), return_origins=True
-        )
-        assert len(origins) == expanded.num_states
-        assert set(origins) == set(graph.states())
+        assignment = cycle_assignment(graph)
+        expanded = expand(graph, assignment)
+        model = ExpandedModel(graph, assignment)
+        assert model_keys(model) == expansion_keys(graph, expanded)
+        assert sum(model_keys(model).values()) == expanded.num_states
+        assert all(model._keys[state] for state in graph.states())
 
     def test_empty_assignment_is_identity(self):
         graph = build_state_graph(parse_g(HANDSHAKE))

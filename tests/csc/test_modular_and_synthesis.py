@@ -1,13 +1,17 @@
 """Integration tests: partition_sat, propagate, and modular_synthesis."""
 
+import weakref
+
 import pytest
 
+from repro.bench.suite import load_benchmark
 from repro.csc import (
     Assignment,
     determine_input_set,
     modular_synthesis,
     partition_sat,
     propagate,
+    synthesis,
     verify_csc,
 )
 from repro.stg import parse_g
@@ -127,6 +131,33 @@ class TestModularSynthesis:
         )
         assert result.covers is None
         assert result.literals is None
+
+    @pytest.mark.parametrize("name", ["csc-ex", "mmu0"])
+    def test_projection_cache_released_before_repair(self, name,
+                                                     monkeypatch):
+        # Only the module loop reads the run's projections; repair,
+        # polish and the expansion must not keep them resident.
+        stg = parse_g(CSC_CONFLICT) if name == "csc-ex" else (
+            load_benchmark(name)
+        )
+        caches = []
+        alive = []
+        project = synthesis.ProjectionCache
+        repair = synthesis._repair
+
+        def tracked(graph):
+            cache = project(graph)
+            caches.append(weakref.ref(cache))
+            return cache
+
+        def checked(*args, **kwargs):
+            alive.append([ref() is not None for ref in caches])
+            return repair(*args, **kwargs)
+
+        monkeypatch.setattr(synthesis, "ProjectionCache", tracked)
+        monkeypatch.setattr(synthesis, "_repair", checked)
+        modular_synthesis(stg, options=SynthesisOptions(minimize=False))
+        assert alive == [[False]]
 
     def test_expanded_graph_codes_unique_per_function(self):
         result = modular_synthesis(parse_g(CSC_CONFLICT))

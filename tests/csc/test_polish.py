@@ -8,19 +8,49 @@ import pytest
 from repro import obs
 from repro.bench.suite import benchmark_names, load_benchmark
 from repro.csc import Assignment, Value, expand, modular_synthesis
-from repro.csc.polish import (
-    _CODE,
-    _ExpandedModel,
-    _accepts,
-    polish_assignment,
-)
+from repro.csc.errors import SynthesisError
+from repro.csc.insertion import CODE, ExpandedModel
+from repro.csc.polish import _accepts, polish_assignment
 from repro.csc.values import edge_compatible
 from repro.stategraph import build_state_graph, csc_conflicts
+from repro.stategraph.csc import persistence_violations
 from repro.stategraph.graph import EPSILON
 from repro.stg import parse_g
 from repro.runtime.options import SynthesisOptions
 
 from tests.example_stgs import CSC_CONFLICT, HANDSHAKE, generated_corpus
+
+
+# Polish's acceptance test from before it read the expanded model, kept
+# verbatim as the oracle of the model gate.
+def _reference_accepts(graph, assignment):
+    """Ground truth: realisable, expansion succeeds, CSC satisfied."""
+    if assignment.check_edge_compatibility(graph):
+        return False
+    if assignment.check_input_realizability(graph):
+        return False
+    try:
+        expanded = expand(graph, assignment)
+    except SynthesisError:
+        return False
+    if csc_conflicts(expanded):
+        return False
+    return not persistence_violations(expanded)
+
+
+def _gate(graph, assignment):
+    """Polish's gate on ``assignment``: ``_accepts`` on its model, and
+    not accepted when the model refuses the assignment as ``expand``
+    does."""
+    try:
+        model = ExpandedModel(graph, assignment)
+    except SynthesisError:
+        return False
+    return _accepts(model)
+
+
+def _polish(graph, assignment):
+    return polish_assignment(assignment, ExpandedModel(graph, assignment))
 
 
 def _excited_count(assignment):
@@ -36,7 +66,8 @@ class TestPolish:
     def test_empty_assignment_unchanged(self):
         graph = build_state_graph(parse_g(HANDSHAKE))
         empty = Assignment.empty(graph.num_states)
-        assert polish_assignment(graph, empty) is empty
+        assert polish_assignment(empty, None) is empty
+        assert _polish(graph, empty) is empty
 
     def test_sprawling_region_shrinks(self):
         graph = build_state_graph(parse_g(CSC_CONFLICT))
@@ -48,7 +79,7 @@ class TestPolish:
                 (Value.UP,), (Value.ONE,), (Value.DOWN,),
             ],
         )
-        polished = polish_assignment(graph, sprawling)
+        polished = _polish(graph, sprawling)
         assert _excited_count(polished) < _excited_count(sprawling)
         # Still a correct solution.
         assert csc_conflicts(expand(graph, polished)) == []
@@ -62,9 +93,11 @@ class TestPolish:
                 (Value.UP,), (Value.ONE,), (Value.DOWN,),
             ],
         )
-        polished = polish_assignment(graph, minimal)
+        polished = _polish(graph, minimal)
         # Exactly one rise and one fall must remain excited.
         assert _excited_count(polished) == 2
+        # Nothing to shrink: the input object itself comes back.
+        assert polished is minimal
 
     def test_invalid_input_returned_unchanged(self):
         graph = build_state_graph(parse_g(CSC_CONFLICT))
@@ -72,8 +105,8 @@ class TestPolish:
         broken = Assignment(
             ("n0",), [(Value.ZERO,)] * graph.num_states
         )
-        polished = polish_assignment(graph, broken)
-        assert polished.values == broken.values
+        polished = _polish(graph, broken)
+        assert polished is broken
 
     def test_synthesis_results_are_polished(self):
         graph = build_state_graph(parse_g(CSC_CONFLICT))
@@ -85,7 +118,28 @@ class TestPolish:
         assert _excited_count(result.assignment) == 2
 
 
-# -- the oracle: one whole-graph ``_accepts`` per flip ----------------------
+class TestGate:
+    def test_refuses_an_assignment_failing_only_on_realisability(self):
+        graph = build_state_graph(parse_g(CSC_CONFLICT))
+        zero, one, up, down = Value.ZERO, Value.ONE, Value.UP, Value.DOWN
+        # n0 rises inside state 2, ahead of the input edge a- (2 -> 3).
+        serialised = Assignment(
+            ("n0",), [(zero,), (zero,), (up,), (one,), (one,), (down,)]
+        )
+        assert not serialised.check_edge_compatibility(graph)
+        assert serialised.check_input_realizability(graph) == [(2, 3, "n0")]
+        expanded = expand(graph, serialised)
+        assert not csc_conflicts(expanded)
+        assert not persistence_violations(expanded)
+        assert not _reference_accepts(graph, serialised)
+        model = ExpandedModel(graph, serialised)
+        assert (model.conflicts, model.violations) == (0, 0)
+        assert not model.realisable()
+        assert not _accepts(model)
+        assert _polish(graph, serialised) is serialised
+
+
+# -- the oracle: one whole-graph ``_reference_accepts`` per flip ------------
 
 _REFERENCE_CANDIDATES = {
     Value.UP: (Value.ZERO, Value.ONE),
@@ -109,13 +163,15 @@ def _locally_compatible(graph, rows, state, k, candidate):
 
 
 def _reference_polish(graph, assignment, model=None):
-    """The polish walk judging every flip by ``_accepts`` on the whole
-    trial assignment; returns ``(assignment, trials, flips)``.
+    """The polish walk judging every flip by ``_reference_accepts`` on the
+    whole trial assignment; returns ``(assignment, trials, flips)``.
 
     With ``model`` (built from ``assignment``), each trial is also put to
-    the model, whose verdict must equal ``_accepts``'s.
+    the model, whose verdict must equal the reference's.
     """
-    if assignment.num_signals == 0 or not _accepts(graph, assignment):
+    if assignment.num_signals == 0 or not _reference_accepts(
+        graph, assignment
+    ):
         return assignment, 0, 0
     rows = [list(row) for row in assignment.values]
     names = assignment.names
@@ -133,10 +189,11 @@ def _reference_polish(graph, assignment, model=None):
                     trials += 1
                     rows[state][k] = candidate
                     trial = Assignment(names, [tuple(row) for row in rows])
-                    verdict = _accepts(graph, trial)
+                    verdict = _reference_accepts(graph, trial)
+                    assert _gate(graph, trial) == verdict
                     if model is not None:
                         assert model.flip(
-                            state, k, _CODE[candidate]
+                            state, k, CODE[candidate]
                         ) == verdict, (state, k, candidate)
                     if verdict:
                         flips += 1
@@ -150,9 +207,12 @@ def _reference_polish(graph, assignment, model=None):
 
 def _traced_polish(graph, assignment):
     """``polish_assignment`` plus its ``(polish_trials, polish_flips)``."""
+    model = None
+    if assignment.num_signals:
+        model = ExpandedModel(graph, assignment)
     with obs.tracing() as tracer:
         with obs.span("polish"):
-            polished = polish_assignment(graph, assignment)
+            polished = polish_assignment(assignment, model)
     totals = tracer.counter_totals()
     return polished, totals.get("polish_trials", 0), totals.get(
         "polish_flips", 0
@@ -160,16 +220,20 @@ def _traced_polish(graph, assignment):
 
 
 def _check_against_reference(graph, assignment):
-    """Every trial verdict and the polished result equal the reference's."""
+    """The gate, every trial verdict and the polished result equal the
+    reference's."""
     model = None
-    if assignment.num_signals and _accepts(graph, assignment):
-        model = _ExpandedModel(graph, assignment)
+    accepted = _reference_accepts(graph, assignment)
+    assert _gate(graph, assignment) == accepted
+    if assignment.num_signals and accepted:
+        model = ExpandedModel(graph, assignment)
         assert (model.conflicts, model.violations) == (0, 0)
     expected, trials, flips = _reference_polish(graph, assignment, model)
     polished, got_trials, got_flips = _traced_polish(graph, assignment)
     assert polished.values == expected.values
     assert polished.names == expected.names
     assert (got_trials, got_flips) == (trials, flips)
+    assert (polished is assignment) == (flips == 0)
     return trials, flips
 
 
@@ -216,7 +280,7 @@ class TestIncrementalAcceptance:
         # Arbitrary single-entry changes, not just polish candidates:
         # regions also grow, and illegal jumps must be refused.
         graph, assignment = _post_repair(name)
-        model = _ExpandedModel(graph, assignment)
+        model = ExpandedModel(graph, assignment)
         rows = [list(row) for row in assignment.values]
         rng = random.Random(name)
         for _ in range(60):
@@ -226,8 +290,9 @@ class TestIncrementalAcceptance:
             old = rows[state][k]
             rows[state][k] = value
             trial = Assignment(assignment.names, rows)
-            verdict = _accepts(graph, trial)
-            assert model.flip(state, k, _CODE[value]) == verdict
+            verdict = _reference_accepts(graph, trial)
+            assert _gate(graph, trial) == verdict
+            assert model.flip(state, k, CODE[value]) == verdict
             if not verdict:
                 rows[state][k] = old
             assert model.assignment().values == Assignment(
@@ -266,7 +331,8 @@ class TestEpsilonEdges:
         assignment = Assignment(
             ("x",), [(zero,), (up,), (up,), (one,), (one,), (down,)]
         )
-        assert _accepts(graph, assignment)
+        assert _reference_accepts(graph, assignment)
+        assert _gate(graph, assignment)
         return graph, assignment
 
     def test_flip_breaking_only_an_epsilon_edge_is_rejected(self):
@@ -278,9 +344,15 @@ class TestEpsilonEdges:
         rows[1][0] = Value.ZERO
         trial = Assignment(assignment.names, rows)
         assert not trial.check_edge_compatibility(graph)
-        assert not _accepts(graph, trial)
-        model = _ExpandedModel(graph, assignment)
-        assert not model.flip(1, 0, _CODE[Value.ZERO])
+        assert not _reference_accepts(graph, trial)
+        assert not _gate(graph, trial)
+        with pytest.raises(SynthesisError) as refused:
+            ExpandedModel(graph, trial)
+        with pytest.raises(SynthesisError) as expanded:
+            expand(graph, trial)
+        assert str(refused.value) == str(expanded.value)
+        model = ExpandedModel(graph, assignment)
+        assert not model.flip(1, 0, CODE[Value.ZERO])
         assert model.assignment().values == assignment.values
         assert model.trials == 1 and model.flips == 0
 

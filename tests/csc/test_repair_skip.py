@@ -1,10 +1,10 @@
 """``_repair``'s skipped first conflict search, against the search itself.
 
 With no state signal inserted and no conflicted non-input on Σ's ε-only
-projection, ``_repair`` returns after its first expansion without
-running ``csc_conflicts`` on it.  Behind every skip the oracle runs that
-search on the expansion as ``expand`` built it before the shortcut -- a
-fresh :class:`StateGraph` copy of Σ -- and it must find nothing.  Σ is
+projection, ``_repair`` returns without building the expanded model its
+rounds search.  Behind every skip the oracle runs ``csc_conflicts`` on
+the expansion as ``expand`` built it before the shortcut -- a fresh
+:class:`StateGraph` copy of Σ -- and it must find nothing.  Σ is
 CSC-clean exactly when its ε-only projection is, so on graphs without
 ε edges the skip must also happen whenever Σ is clean.
 """
@@ -48,16 +48,16 @@ def skips(monkeypatch):
     """Check the search behind every skip; collect the skipped graphs.
 
     A skip is observed, not predicted: ``_repair`` returned without
-    calling ``csc_conflicts``.
+    building an :class:`ExpandedModel`.
     """
     seen = []
     searched = []
-    search = synthesis.csc_conflicts
+    model = synthesis.ExpandedModel
     repair = synthesis._repair
 
     def counted(graph, *args, **kwargs):
         searched.append(graph)
-        return search(graph, *args, **kwargs)
+        return model(graph, *args, **kwargs)
 
     def checked(graph, assignment, *args, **kwargs):
         searched.clear()
@@ -68,7 +68,7 @@ def skips(monkeypatch):
             seen.append(graph)
         return result
 
-    monkeypatch.setattr(synthesis, "csc_conflicts", counted)
+    monkeypatch.setattr(synthesis, "ExpandedModel", counted)
     monkeypatch.setattr(synthesis, "_repair", checked)
     return seen
 
@@ -168,6 +168,3 @@ def test_expand_without_state_signals_is_sigma():
     sigma = build_state_graph(parse_g(ALL["concurrent"]))
     empty = Assignment.empty(sigma.num_states)
     assert expand(sigma, empty) is sigma
-    assert expand(sigma, empty, return_origins=True) == (
-        sigma, list(range(sigma.num_states))
-    )

@@ -210,6 +210,33 @@ def test_verify_span_splits_into_csc_and_explore(tmp_path, monkeypatch,
     assert "verify_vectors" not in document["counters"]
 
 
+def test_repair_polish_and_expansion_spans_nest(tmp_path):
+    # Each repair round builds its expanded model in a ``model`` span,
+    # next to the round's solve spans; polish splits into its gate and
+    # its walk; the one expansion after polish is an ``expand`` span of
+    # ``run``, not ``run`` self time.
+    from repro.obs import build_forest, walk_forest
+
+    spec = resources.files("repro.data").joinpath("mmu0.g")
+    trace = tmp_path / "run.jsonl"
+    assert main([str(spec), "--quiet", "--trace", str(trace)]) == 0
+    nodes = list(walk_forest(build_forest(load_journal(str(trace)))))
+    (run,) = [node for node in nodes if node.name == "run"]
+    phases = [child.name for child in run.children]
+    assert phases.count("expand") == 1
+    assert (phases.index("repair") < phases.index("polish")
+            < phases.index("expand") < phases.index("minimize"))
+    repair, polish, expand = (
+        run.children[phases.index(name)]
+        for name in ("repair", "polish", "expand")
+    )
+    rounds = repair.counters.as_dict()["repair_rounds"]
+    assert [child.name for child in repair.children] == ["model"] * rounds
+    assert [child.name for child in polish.children] == ["gate", "walk"]
+    assert "polish_flips" in polish.counters.as_dict()
+    assert expand.children == []
+
+
 def test_metrics_prom_writes_valid_exposition_page(spec, tmp_path, capsys):
     from repro.obs import validate_prometheus_text
 
