@@ -87,6 +87,7 @@ from repro.runtime.budget import Budget
 from repro.runtime.options import SynthesisOptions
 from repro.runtime.report import RUN_ERROR, RUN_TIMEOUT
 from repro.runtime.run import run_synthesis
+from repro.sat import ENGINES
 from repro.stg import load_stg, validate_stg
 
 _METHODS = ("modular", "direct", "lavagno")
@@ -108,7 +109,7 @@ def main(argv=None):
         "--method", choices=sorted(_METHODS), default="modular"
     )
     parser.add_argument(
-        "--engine", choices=["hybrid", "dpll", "cdcl", "bdd"],
+        "--engine", choices=ENGINES,
         default="hybrid",
     )
     parser.add_argument(

@@ -22,14 +22,13 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 
+from repro.sat import ENGINES
+
 #: Schema tag carried by every serialized request/response document.
 API_SCHEMA = "repro-api/1"
 
 #: Synthesis methods a request may name.
 METHODS = ("modular", "direct", "lavagno")
-
-#: SAT engines a request may name.
-ENGINES = ("hybrid", "dpll", "cdcl", "bdd")
 
 #: Cache tiers a response may report.
 CACHE_TIERS = ("off", "miss", "hit")

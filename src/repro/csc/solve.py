@@ -8,6 +8,8 @@ add one more state signal whenever the formula is unsatisfiable.
 
 from __future__ import annotations
 
+from functools import partial
+
 from repro import obs
 from repro.csc.errors import BacktrackLimitError, SynthesisError
 from repro.csc.sat_csc import IncrementalCscFormula, build_csc_formula
@@ -32,8 +34,8 @@ class AttemptStats:
 
     ``metrics`` is the attempt's :class:`~repro.obs.metrics.Counters`
     bag -- the solver's counters plus the formula size -- shared with
-    the trace span that timed the attempt; the classic statistic names
-    remain available as properties reading from it.
+    the trace span that timed the attempt; the formula size is also
+    readable as properties.
     """
 
     def __init__(self, m, num_vars, num_clauses, result):
@@ -53,18 +55,6 @@ class AttemptStats:
     @property
     def num_clauses(self):
         return self.metrics["num_clauses"]
-
-    @property
-    def decisions(self):
-        return self.metrics["decisions"]
-
-    @property
-    def backtracks(self):
-        return self.metrics["backtracks"]
-
-    @property
-    def seconds(self):
-        return self.metrics["seconds"]
 
     @property
     def escalated(self):
@@ -210,7 +200,6 @@ def solve_state_signals(graph, outputs=None, extra_codes=None,
                 extra_implied=extra_implied,
             )),
         )
-    attempts = []
     # Under the skip policy (the modular passes), each m first tries the
     # serialisation-free variant: its solutions keep the original outputs'
     # logic independent of the new signals (smaller covers).  Under the
@@ -218,86 +207,23 @@ def solve_state_signals(graph, outputs=None, extra_codes=None,
     # solved -- one formula per m, as in the original monolithic method,
     # so a budget exhaustion is attributable to *the* formula.
     variants = (False, True) if on_limit == "skip" else (True,)
+    incremental = None
     if sat_mode == "incremental" and engine in INCREMENTAL_ENGINES:
-        return _grow_incremental(
-            graph, conflicts, outputs, extra_codes, extra_implied,
-            limits, m, max_signals, variants, engine, on_limit,
-            budget, fallback, watch,
+        incremental = IncrementalCscFormula(
+            graph, outputs=outputs, extra_codes=extra_codes,
+            extra_implied=extra_implied, conflict_pairs=conflicts,
         )
-    while m <= max_signals:
-        for allow_serialisation in variants:
-            if budget is not None:
-                budget.checkpoint("solve-state-signals")
-            with obs.span("encode", m=m) as encode_span:
-                formula = build_csc_formula(
-                    graph, m, outputs=outputs, extra_codes=extra_codes,
-                    extra_implied=extra_implied, conflict_pairs=conflicts,
-                    allow_serialisation=allow_serialisation,
-                )
-                encode_span.add("num_clauses", formula.num_clauses)
-                encode_span.add("num_vars", formula.num_vars)
-            with obs.span("sat_attempt", m=m, engine=engine) as attempt_span:
-                result = solve_with(
-                    formula.cnf, limits, engine=engine, fallback=fallback,
-                    budget=budget,
-                )
-                attempt_span.set("status", result.status)
-                attempt_span.add("sat_attempts")
-                attempt_span.add("num_clauses", formula.num_clauses)
-                attempt_span.add("num_vars", formula.num_vars)
-                attempt_span.merge(result.metrics)
-            if budget is not None:
-                budget.charge_backtracks(result.backtracks)
-            attempts.append(
-                AttemptStats(
-                    m, formula.num_vars, formula.num_clauses, result
-                )
-            )
-            if result.status == LIMIT and on_limit != "skip":
-                raise BacktrackLimitError(
-                    f"SAT backtrack limit reached with m={m} "
-                    f"({formula.num_clauses} clauses, "
-                    f"{formula.num_vars} vars)",
-                    backtracks=result.backtracks,
-                    seconds=watch.elapsed(),
-                )
-            if result.status == SAT:
-                rows = formula.decode(result.assignment)
-                return SolveOutcome(
-                    rows, m, attempts, watch.elapsed()
-                )
-        m += 1
-    raise SynthesisError(
-        f"no satisfiable formula up to m={max_signals} state signals"
-    )
+    mode = {} if incremental is None else {"sat_mode": "incremental"}
 
+    def solve_oneshot(formula):
+        """A cold solve of one built formula: ``(result, row decoder)``."""
+        result = solve_with(
+            formula.cnf, limits, engine=engine, fallback=fallback,
+            budget=budget,
+        )
+        return result, formula.decode
 
-def _grow_incremental(graph, conflicts, outputs, extra_codes, extra_implied,
-                      limits, m, max_signals, variants, engine, on_limit,
-                      budget, fallback, watch):
-    """The grow-``m`` loop over one persistent incremental solver.
-
-    Semantically identical to the one-shot loop (same attempt order,
-    same ``on_limit`` policy, same exceptions); operationally each
-    attempt is the shared clause database under a new assumption set,
-    so learned clauses carry across variants *and* across ``m``.  Two
-    refinements the one-shot loop cannot express:
-
-    * when the banned-serialisation variant is UNSAT and its
-      failed-assumption core never used the serialisation guard, the
-      permissive variant of the same ``m`` is skipped -- the core
-      already proves it unsatisfiable (``variant_skips``);
-    * when an incremental attempt runs out of budget, the attempt is
-      retried one-shot via :func:`~repro.sat.solve_with` (with the
-      escalation ladder when ``fallback`` is set) before the
-      ``on_limit`` policy applies; the retry is journalled as an
-      ``oneshot_fallback`` point event and counted, never silent.
-    """
     attempts = []
-    formula = IncrementalCscFormula(
-        graph, outputs=outputs, extra_codes=extra_codes,
-        extra_implied=extra_implied, conflict_pairs=conflicts,
-    )
     while m <= max_signals:
         skip_permissive = False
         for allow_serialisation in variants:
@@ -307,41 +233,38 @@ def _grow_incremental(graph, conflicts, outputs, extra_codes, extra_implied,
                 continue
             if budget is not None:
                 budget.checkpoint("solve-state-signals")
+            build = partial(
+                build_csc_formula, graph, m, outputs=outputs,
+                extra_codes=extra_codes, extra_implied=extra_implied,
+                conflict_pairs=conflicts,
+                allow_serialisation=allow_serialisation,
+            )
             with obs.span("encode", m=m) as encode_span:
-                formula.ensure_m(m)
+                if incremental is None:
+                    formula = build()
+                else:
+                    formula = incremental
+                    formula.ensure_m(m)
                 encode_span.add("num_clauses", formula.num_clauses)
                 encode_span.add("num_vars", formula.num_vars)
-            decoder = formula.decode
             with obs.span("sat_attempt", m=m, engine=engine,
-                          sat_mode="incremental") as attempt_span:
-                attempt_limits = (
-                    budget.sub_limits(limits) if budget is not None
-                    else limits
-                )
-                if _fault_fires("solver-limit", detail=engine):
-                    result = SolveResult(LIMIT, None, 0, 0, 0, 0.0)
+                          **mode) as attempt_span:
+                if incremental is None:
+                    result, rows_of = solve_oneshot(formula)
                 else:
-                    result = formula.solve(
-                        m, allow_serialisation, attempt_limits
+                    result = _solve_incremental(
+                        incremental, m, allow_serialisation, limits,
+                        budget, engine,
                     )
-                if result.status == LIMIT:
-                    obs.add("oneshot_fallbacks")
-                    obs.event(
-                        "oneshot_fallback", m=m, engine=engine,
-                        variant=("permissive" if allow_serialisation
-                                 else "banned"),
-                    )
-                    oneshot = build_csc_formula(
-                        graph, m, outputs=outputs, extra_codes=extra_codes,
-                        extra_implied=extra_implied,
-                        conflict_pairs=conflicts,
-                        allow_serialisation=allow_serialisation,
-                    )
-                    result = solve_with(
-                        oneshot.cnf, limits, engine=engine,
-                        fallback=fallback, budget=budget,
-                    )
-                    decoder = lambda model, _m: oneshot.decode(model)
+                    rows_of = partial(incremental.decode, m=m)
+                    if result.status == LIMIT:
+                        obs.add("oneshot_fallbacks")
+                        obs.event(
+                            "oneshot_fallback", m=m, engine=engine,
+                            variant=("permissive" if allow_serialisation
+                                     else "banned"),
+                        )
+                        result, rows_of = solve_oneshot(build())
                 attempt_span.set("status", result.status)
                 attempt_span.add("sat_attempts")
                 attempt_span.add("num_clauses", formula.num_clauses)
@@ -363,16 +286,26 @@ def _grow_incremental(graph, conflicts, outputs, extra_codes, extra_implied,
                     seconds=watch.elapsed(),
                 )
             if result.status == SAT:
-                rows = decoder(result.assignment, m)
+                rows = rows_of(result.assignment)
                 return SolveOutcome(rows, m, attempts, watch.elapsed())
-            core = getattr(result, "failed_assumptions", None)
+            core = result.failed_assumptions
             if (not allow_serialisation and core is not None
-                    and formula.noserial not in core):
+                    and incremental.noserial not in core):
                 skip_permissive = True
         m += 1
     raise SynthesisError(
         f"no satisfiable formula up to m={max_signals} state signals"
     )
+
+
+def _solve_incremental(formula, m, allow_serialisation, limits, budget,
+                       engine):
+    """One attempt on the shared :class:`IncrementalCscFormula`."""
+    if budget is not None:
+        limits = budget.sub_limits(limits)
+    if _fault_fires("solver-limit", detail=engine):
+        return SolveResult(LIMIT, None, 0, 0, 0, 0.0)
+    return formula.solve(m, allow_serialisation, limits)
 
 
 def _finite(bound):

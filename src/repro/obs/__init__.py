@@ -18,7 +18,8 @@ package is that layer, with zero third-party dependencies:
 * :mod:`repro.obs.journal` -- reading/validating JSONL journals
   (gzip-transparent via :func:`journal_open`);
 * :mod:`repro.obs.profile` -- per-phase aggregation behind the CLI's
-  ``--metrics``/``--profile-top`` and ``tools/summarize_trace.py``;
+  ``--metrics``/``--profile-top`` and ``tools/analyze_trace.py
+  --profile``;
 * :mod:`repro.obs.analyze` -- span trees, self-time vs child-time,
   per-module attribution and critical-path extraction
   (``--metrics-tree``, ``tools/analyze_trace.py``);

@@ -3,9 +3,8 @@
 The journal a :class:`~repro.obs.tracer.Tracer` writes is a plain JSONL
 stream: a ``trace`` header, then ``start``/``end`` records per span and
 ``point`` records for instant events.  This module is the read side --
-used by ``tools/summarize_trace.py``, ``tools/analyze_trace.py`` and
-the tests that assert a journal is well-formed even when the traced run
-failed.
+used by ``tools/analyze_trace.py`` and the tests that assert a journal
+is well-formed even when the traced run failed.
 
 A journal may also be a **concatenation** of several complete journals
 (``cat a.jsonl b.jsonl``, one self-contained journal per run).  Every
@@ -15,7 +14,7 @@ segment.
 Journals whose path ends in ``.gz`` are gzip-compressed, transparently
 on both sides: :func:`journal_open` is the one open helper the tracer's
 write path and this module's read path share, so
-``--trace run.jsonl.gz`` and ``tools/summarize_trace.py run.jsonl.gz``
+``--trace run.jsonl.gz`` and ``tools/analyze_trace.py run.jsonl.gz``
 just work (thousand-circuit corpora journals get large).
 
 Well-formedness rules (checked by :func:`validate_events`):

@@ -10,7 +10,8 @@ same thing and aggregate with the same ``merge``.
 
 The vocabulary is documented (not enforced) by :data:`COUNTER_GLOSSARY`;
 call sites may record counters outside it, but the glossary is what the
-docs, ``--metrics`` and ``tools/summarize_trace.py`` describe.
+docs, ``--metrics`` and ``tools/analyze_trace.py --counters``
+describe.
 
 Beyond monotone counters the telemetry registry holds two more metric
 kinds, both exported in Prometheus text format by

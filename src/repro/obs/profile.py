@@ -5,8 +5,8 @@ folded by span *name*: how many times each phase ran, how much wall
 clock it took in total, and the sum of every counter it recorded.  The
 live :class:`~repro.obs.tracer.Tracer` maintains this fold incrementally
 (so the CLI can print it without re-reading the journal), and
-``tools/summarize_trace.py`` rebuilds the identical fold from a journal
-file on disk.
+``tools/analyze_trace.py --profile`` rebuilds the identical fold from a
+journal file on disk.
 """
 
 from __future__ import annotations

@@ -23,7 +23,9 @@ Fields whose natural default differs per method (``signal_prefix`` is
 ``limits`` and ``max_signals`` default to per-method budgets) default to
 ``None``, meaning "the method's default".  This module is a dependency
 leaf like the rest of :mod:`repro.runtime`'s core: it imports nothing
-from the synthesis layers, so they can all import it at load time.
+from the synthesis layers at load time, so they can all import it then;
+the engine tuple it validates against is read from :mod:`repro.sat`
+when an options value is built.
 """
 
 from __future__ import annotations
@@ -109,9 +111,15 @@ class SynthesisOptions:
     verify_level: str = "csc"
 
     def __post_init__(self):
+        from repro.sat import ENGINES  # imported late: see module doc
+
         if self.output_order is not None:
             object.__setattr__(
                 self, "output_order", tuple(self.output_order)
+            )
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"engine must be one of {ENGINES}, not {self.engine!r}"
             )
         if self.sat_mode not in ("incremental", "oneshot"):
             raise ValueError(

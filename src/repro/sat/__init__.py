@@ -9,8 +9,10 @@ with SIS, Stephan et al. 1992).  This package provides:
 * :mod:`repro.sat.solver` -- the era-faithful chronological DPLL with
   two-watched-literal propagation (its "backtrack limit" produces the
   Table-1 aborts);
-* :mod:`repro.sat.cdcl` -- a modern conflict-driven solver (1UIP
-  learning, VSIDS, restarts);
+* :mod:`repro.sat.incremental` -- the one conflict-driven solver (1UIP
+  learning, VSIDS, Luby restarts, assumptions).  The grow-``m`` loop
+  keeps one across its attempts; a one-shot ``"cdcl"`` solve is a fresh
+  one loaded with the CNF and decided under no assumptions;
 * :mod:`repro.sat.bdd_engine` -- decision by BDD construction returning
   *minimum-weight* models (the follow-up paper's area-driven approach);
 * :func:`solve_with` -- engine dispatch, defaulting to a DPLL-then-CDCL
@@ -23,7 +25,13 @@ from repro import obs
 from repro.runtime.faults import should_fire as _fault_fires
 from repro.sat.cnf import Cnf
 from repro.sat.bdd_engine import solve_bdd
-from repro.sat.cdcl import solve_cdcl
+from repro.sat.encode import (
+    add_at_most_one,
+    add_equal,
+    add_implies,
+    add_xor_var,
+)
+from repro.sat.incremental import IncrementalSolver
 from repro.sat.solver import (
     LIMIT,
     SAT,
@@ -32,6 +40,10 @@ from repro.sat.solver import (
     SolveResult,
     solve,
 )
+
+#: The engine names :func:`solve_with` accepts; options, the request
+#: API and the command line all validate against this tuple.
+ENGINES = ("hybrid", "dpll", "cdcl", "bdd")
 
 
 #: Budget for the DPLL pass of the hybrid engine.
@@ -48,7 +60,8 @@ def solve_with(cnf, limits=None, engine="hybrid", fallback=False,
 
     * ``"dpll"`` -- the chronological branch-and-bound search matching
       the solver class the paper used.
-    * ``"cdcl"`` -- clause learning, backjumping, restarts.
+    * ``"cdcl"`` -- clause learning, backjumping, restarts: a fresh
+      :class:`IncrementalSolver` decides the CNF under no assumptions.
     * ``"bdd"`` -- decide by BDD construction and return the model
       minimising the CNF's variable weights (the follow-up paper's
       area-driven approach); on a node/time blow-up the instance falls
@@ -63,11 +76,12 @@ def solve_with(cnf, limits=None, engine="hybrid", fallback=False,
 
     With ``fallback=True`` a ``LIMIT`` outcome climbs the escalation
     ladder -- the requested engine, then CDCL with an enlarged budget,
-    then the BDD engine (whose own rescue is CDCL) -- and the trail of
-    ``(engine, status)`` rungs is recorded on ``result.escalations``.
-    ``budget`` (a :class:`~repro.runtime.budget.Budget`) additionally
-    clips every rung to the run's remaining global allowance, so the
-    ladder can never climb past the run deadline.
+    then the BDD engine alone (its CDCL rescue would repeat the rung
+    before it) -- and the trail of ``(engine, status)`` rungs is
+    recorded on ``result.escalations``.  ``budget`` (a
+    :class:`~repro.runtime.budget.Budget`) additionally clips every rung
+    to the run's remaining global allowance, so the ladder can never
+    climb past the run deadline.
     """
     if budget is not None:
         limits = budget.sub_limits(limits)
@@ -78,7 +92,7 @@ def solve_with(cnf, limits=None, engine="hybrid", fallback=False,
     for rung_engine, rung_limits in _ladder(engine, limits, budget):
         obs.add("escalations")
         obs.event("escalate", engine=rung_engine)
-        result = _solve_once(cnf, rung_limits, rung_engine)
+        result = _solve_once(cnf, rung_limits, rung_engine, rescue=False)
         trail.append((rung_engine, result.status))
         if result.status != LIMIT:
             break
@@ -86,20 +100,21 @@ def solve_with(cnf, limits=None, engine="hybrid", fallback=False,
     return result
 
 
-def _solve_once(cnf, limits, engine):
-    """One rung: dispatch to a single engine (plus its built-in rescue)."""
+def _solve_once(cnf, limits, engine, rescue=True):
+    """One rung: dispatch to a single engine.
+
+    ``"hybrid"`` and ``"bdd"`` hand a ``LIMIT`` to CDCL unless
+    ``rescue`` is off.
+    """
     if _fault_fires("solver-limit", detail=engine):
         return SolveResult(LIMIT, None, 0, 0, 0, 0.0)
     if engine == "cdcl":
-        return solve_cdcl(cnf, limits)
+        return _oneshot_cdcl(cnf, limits)
     if engine == "dpll":
         return solve(cnf, limits)
     if engine == "bdd":
         result = solve_bdd(cnf, limits)
-        if result.status != LIMIT:
-            return result
-        return solve_cdcl(cnf, limits)
-    if engine == "hybrid":
+    elif engine == "hybrid":
         first = _HYBRID_DPLL_LIMITS
         if limits is not None:
             first = Limits(
@@ -109,10 +124,27 @@ def _solve_once(cnf, limits, engine):
                 max_seconds=_min_opt(limits.max_seconds, first.max_seconds),
             )
         result = solve(cnf, first)
-        if result.status != LIMIT:
-            return result
-        return solve_cdcl(cnf, limits)
-    raise ValueError(f"unknown SAT engine {engine!r}")
+    else:
+        raise ValueError(f"unknown SAT engine {engine!r}")
+    if result.status != LIMIT or not rescue:
+        return result
+    return _oneshot_cdcl(cnf, limits)
+
+
+def _oneshot_cdcl(cnf, limits):
+    """One-shot CDCL: a fresh :class:`IncrementalSolver`, no assumptions.
+
+    Only the search statistics are passed on.  The result carries no
+    assumption core and none of the incremental counters, so a one-shot
+    UNSAT never reads as a core-based refutation and never counts as an
+    incremental solve.
+    """
+    found = IncrementalSolver.from_cnf(cnf).solve(limits=limits)
+    stats = found.metrics
+    return SolveResult(
+        found.status, found.assignment, stats["decisions"],
+        stats["propagations"], stats["backtracks"], stats["seconds"],
+    )
 
 
 def _ladder(engine, limits, budget):
@@ -157,16 +189,9 @@ def _min_opt(a, b):
     return min(a, b)
 
 
-from repro.sat.encode import (
-    add_at_most_one,
-    add_equal,
-    add_implies,
-    add_xor_var,
-)
-from repro.sat.incremental import IncrementalSolver
-
 __all__ = [
     "Cnf",
+    "ENGINES",
     "IncrementalSolver",
     "LIMIT",
     "Limits",
@@ -179,6 +204,5 @@ __all__ = [
     "add_xor_var",
     "solve",
     "solve_bdd",
-    "solve_cdcl",
     "solve_with",
 ]

@@ -25,9 +25,9 @@ database.  Between calls everything expensive survives:
   the clause.
 
 Branching is VSIDS over an indexed max-heap (:class:`_VarHeap`) --
-``O(log n)`` per decision instead of the ``O(num_vars)`` scan of
-:meth:`repro.sat.cdcl._Cdcl._pick_branch` -- with ties broken towards
-the lowest variable index, so two runs over the same clause stream make
+``O(log n)`` per decision instead of an ``O(num_vars)`` scan for the
+most active free variable -- with ties broken towards the lowest
+variable index, so two runs over the same clause stream make
 identical decisions and the determinism contract of
 ``docs/parallelism.md`` survives.  Restarts follow the Luby sequence.
 
@@ -39,6 +39,10 @@ literal proves every variant not assuming that guard unsatisfiable too,
 which is how the solve loop skips the second serialisation variant for
 free.
 
+The same class decides every one-shot ``"cdcl"`` solve of
+:func:`repro.sat.solve_with`: a fresh solver loaded with the whole CNF
+(:meth:`IncrementalSolver.from_cnf`) and decided under no assumptions.
+
 The ``Limits`` budget applies per :meth:`solve` call --
 ``max_backtracks`` counts that call's conflicts, keeping the paper's
 "SAT backtrack limit" abort semantics meaningful -- and the wall-clock
@@ -49,14 +53,14 @@ long conflict-free propagation stretch cannot blow through a deadline.
 from __future__ import annotations
 
 from repro.obs import Counters, Stopwatch
-from repro.sat.solver import LIMIT, SAT, UNSAT, Limits, SolveResult
+from repro.sat.solver import (
+    LIMIT, SAT, UNSAT, Limits, SolveResult, _TIME_CHECK_STRIDE,
+)
 
 _ACTIVITY_DECAY = 0.95
 _RESCALE_LIMIT = 1e100
 #: Luby restart base: restart after ``luby(i) * unit`` conflicts.
 _LUBY_UNIT = 100
-#: Wall-clock deadline check cadence, in decisions.
-_TIME_CHECK_STRIDE = 64
 #: Learned clauses with LBD at or below this survive every reduction.
 _DB_KEEP_LBD = 2
 

@@ -52,8 +52,12 @@ class SolveResult:
         A :class:`~repro.obs.metrics.Counters` bag holding the search
         statistics (``decisions``, ``propagations``, ``backtracks``,
         ``seconds``, plus engine-specific counters such as
-        ``bdd_nodes``).  The classic statistic names remain available as
-        properties reading from it.
+        ``bdd_nodes``).  ``backtracks``, the budget charge, is also a
+        property reading from it.
+    failed_assumptions:
+        The assumption core of an UNSAT decided under assumptions by
+        :meth:`~repro.sat.incremental.IncrementalSolver.solve`, else
+        ``None``.
     """
 
     def __init__(self, status, assignment, decisions, propagations,
@@ -66,34 +70,21 @@ class SolveResult:
                 backtracks=backtracks, seconds=seconds,
             )
         self.metrics = metrics
+        self.failed_assumptions = None
         #: ``(engine, status)`` rungs when the fallback ladder ran
         #: (:func:`repro.sat.solve_with`), else ``None``.
         self.escalations = None
 
     @property
-    def decisions(self):
-        return self.metrics["decisions"]
-
-    @property
-    def propagations(self):
-        return self.metrics["propagations"]
-
-    @property
     def backtracks(self):
         return self.metrics["backtracks"]
 
-    @property
-    def seconds(self):
-        return self.metrics["seconds"]
-
-    @property
-    def is_sat(self):
-        return self.status == SAT
-
     def __repr__(self):
+        metrics = self.metrics
         return (
-            f"SolveResult({self.status}, decisions={self.decisions}, "
-            f"backtracks={self.backtracks}, {self.seconds:.3f}s)"
+            f"SolveResult({self.status}, decisions={metrics['decisions']}, "
+            f"backtracks={metrics['backtracks']}, "
+            f"{metrics['seconds']:.3f}s)"
         )
 
 

@@ -124,6 +124,31 @@ class TestIncrementalLoop:
         assert outcome.m == 1
         assert outcome.attempts[-1].metrics["incremental_solves"] == 0
 
+    def test_cdcl_engine_oneshot_mode_counts_no_incremental_solve(self):
+        # One-shot CDCL runs on a fresh IncrementalSolver, but its
+        # result must not read as an incremental solve.
+        outcome = solve_state_signals(
+            conflict_graph(), engine="cdcl", sat_mode="oneshot"
+        )
+        assert outcome.m == 1
+        assert outcome.attempts[-1].metrics["incremental_solves"] == 0
+
+    def test_oneshot_retry_unsat_keeps_permissive_variant(self):
+        # The injected limit sends the banned variant of m=1 to the
+        # one-shot retry, which refutes it under no assumptions.  That
+        # UNSAT carries no assumption core, so it must not skip the
+        # permissive variant of the same m (which is satisfiable).
+        from repro.runtime import faults
+
+        with faults.injected("solver-limit", times=1):
+            outcome = solve_state_signals(
+                conflict_graph(), engine="cdcl", on_limit="skip"
+            )
+        assert outcome.m == 1
+        assert [(a.m, a.status) for a in outcome.attempts] == [
+            (1, "unsat"), (1, "sat"),
+        ]
+
     def test_limit_falls_back_to_oneshot(self):
         # One injected budget exhaustion on the incremental attempt:
         # the loop must retry that attempt one-shot and still succeed.

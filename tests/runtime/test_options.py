@@ -46,6 +46,17 @@ class TestSynthesisOptions:
         with pytest.raises(ValueError, match="sat_mode"):
             SynthesisOptions(sat_mode="warm")
 
+    def test_engine_validated(self):
+        with pytest.raises(ValueError, match="engine"):
+            SynthesisOptions(engine="quantum")
+        # The options, the request API and the CLI share one tuple.
+        from repro import api
+        from repro.sat import ENGINES
+
+        assert api.ENGINES is ENGINES
+        for engine in ENGINES:
+            assert SynthesisOptions(engine=engine).engine == engine
+
     def test_robustness_knob_defaults(self):
         options = SynthesisOptions()
         assert options.cache_max_bytes is None

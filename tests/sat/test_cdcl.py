@@ -1,11 +1,15 @@
-"""Unit and property tests for the CDCL solver."""
+"""Unit and property tests for the one-shot CDCL engine.
+
+``solve_with(engine="cdcl")`` decides the CNF on a fresh
+:class:`~repro.sat.incremental.IncrementalSolver` under no assumptions.
+"""
 
 import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sat import LIMIT, SAT, UNSAT, Cnf, Limits, solve_cdcl, solve_with
+from repro.sat import LIMIT, SAT, UNSAT, Cnf, Limits, solve_with
 
 
 def make_cnf(num_vars, clauses):
@@ -34,39 +38,44 @@ def pigeonhole(holes):
 
 class TestBasics:
     def test_empty_formula(self):
-        assert solve_cdcl(Cnf()).status == SAT
+        assert solve_with(Cnf(), engine="cdcl").status == SAT
 
     def test_unit_conflict(self):
-        assert solve_cdcl(make_cnf(1, [[1], [-1]])).status == UNSAT
+        cnf = make_cnf(1, [[1], [-1]])
+        assert solve_with(cnf, engine="cdcl").status == UNSAT
 
     def test_empty_clause(self):
-        assert solve_cdcl(make_cnf(1, [[]])).status == UNSAT
+        assert solve_with(make_cnf(1, [[]]), engine="cdcl").status == UNSAT
 
     def test_model_is_valid(self):
         cnf = make_cnf(4, [[1, 2], [-1, 3], [-3, -2], [2, 4], [-4, 1]])
-        result = solve_cdcl(cnf)
+        result = solve_with(cnf, engine="cdcl")
         assert result.status == SAT
         assert cnf.evaluate(result.assignment)
 
     def test_implication_chain_no_decisions(self):
         clauses = [[1]] + [[-i, i + 1] for i in range(1, 12)]
-        result = solve_cdcl(make_cnf(12, clauses))
+        result = solve_with(make_cnf(12, clauses), engine="cdcl")
         assert result.status == SAT
-        assert result.decisions == 0
+        assert result.metrics["decisions"] == 0
 
 
 class TestLearning:
     def test_pigeonhole_unsat_fast(self):
         # PHP(7, 6) chokes plain DPLL but is easy with learning.
-        result = solve_cdcl(pigeonhole(6))
+        result = solve_with(pigeonhole(6), engine="cdcl")
         assert result.status == UNSAT
 
     def test_limits_respected(self):
-        result = solve_cdcl(pigeonhole(10), Limits(max_backtracks=20))
+        result = solve_with(
+            pigeonhole(10), Limits(max_backtracks=20), engine="cdcl"
+        )
         assert result.status == LIMIT
 
     def test_time_limit(self):
-        result = solve_cdcl(pigeonhole(12), Limits(max_seconds=0.05))
+        result = solve_with(
+            pigeonhole(12), Limits(max_seconds=0.05), engine="cdcl"
+        )
         assert result.status == LIMIT
 
 
@@ -122,7 +131,7 @@ def random_formula(draw):
 def test_cdcl_matches_brute_force(formula):
     num_vars, clauses = formula
     cnf = make_cnf(num_vars, clauses)
-    result = solve_cdcl(cnf)
+    result = solve_with(cnf, engine="cdcl")
     expected = brute_force_sat(num_vars, cnf.clauses)
     assert result.status == (SAT if expected else UNSAT)
     if result.status == SAT:
@@ -134,7 +143,7 @@ def test_cdcl_matches_brute_force(formula):
 def test_engines_agree_on_random_formulas(formula):
     num_vars, clauses = formula
     cnf = make_cnf(num_vars, clauses)
-    a = solve_cdcl(cnf).status
+    a = solve_with(cnf, engine="cdcl").status
     cnf2 = make_cnf(num_vars, clauses)
     b = solve_with(cnf2, engine="dpll").status
     assert a == b

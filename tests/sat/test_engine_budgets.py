@@ -45,6 +45,64 @@ def test_every_engine_limits_under_tiny_budget(engine):
     assert elapsed < 5.0, f"{engine} did not stop promptly"
 
 
+#: Per requested engine under ``Limits(max_backtracks=5)``: the
+#: ``escalations`` trail and every engine run in order, as
+#: ``(engine, max_backtracks)``.  The ladder's CDCL rung runs at the
+#: enlarged budget (20) exactly once: its BDD rung runs BDD alone.
+LADDER = {
+    "dpll": (
+        [("dpll", LIMIT), ("cdcl", LIMIT), ("bdd", LIMIT)],
+        [("dpll", 5), ("cdcl", 20), ("bdd", 20)],
+    ),
+    "cdcl": (
+        [("cdcl", LIMIT), ("cdcl", LIMIT), ("bdd", LIMIT)],
+        [("cdcl", 5), ("cdcl", 20), ("bdd", 20)],
+    ),
+    "bdd": (
+        [("bdd", LIMIT), ("cdcl", LIMIT)],
+        [("bdd", 5), ("cdcl", 5), ("cdcl", 20)],
+    ),
+    "hybrid": (
+        [("hybrid", LIMIT), ("cdcl", LIMIT), ("bdd", LIMIT)],
+        [("dpll", 5), ("cdcl", 5), ("cdcl", 20), ("bdd", 20)],
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(LADDER))
+def test_fallback_ladder_runs_each_rung_once(monkeypatch, engine):
+    import repro.sat
+    from repro.sat.incremental import IncrementalSolver
+
+    runs = []
+
+    def spy(name, original):
+        def run(cnf, limits=None):
+            runs.append((name, limits.max_backtracks))
+            return original(cnf, limits)
+        return run
+
+    monkeypatch.setattr(repro.sat, "solve", spy("dpll", repro.sat.solve))
+    monkeypatch.setattr(
+        repro.sat, "solve_bdd", spy("bdd", repro.sat.solve_bdd)
+    )
+    cdcl_solve = IncrementalSolver.solve
+
+    def cdcl(self, assumptions=(), limits=None):
+        runs.append(("cdcl", limits.max_backtracks))
+        return cdcl_solve(self, assumptions, limits)
+
+    monkeypatch.setattr(IncrementalSolver, "solve", cdcl)
+    result = solve_with(
+        pigeonhole(8), Limits(max_backtracks=5), engine=engine,
+        fallback=True,
+    )
+    trail, expected_runs = LADDER[engine]
+    assert result.status == LIMIT
+    assert result.escalations == trail
+    assert runs == expected_runs
+
+
 def test_bdd_engine_maps_backtracks_onto_nodes():
     # The mapping keeps generous budgets at the full table ...
     assert nodes_for_limits(None) == DEFAULT_MAX_NODES

@@ -47,7 +47,7 @@ class TestBasics:
         assert result.status == SAT
         assert all(result.assignment[v] for v in range(1, 11))
         # All forced by propagation: no search needed.
-        assert result.decisions == 0
+        assert result.metrics["decisions"] == 0
 
     def test_xor_chain_unsat(self):
         # x1 xor x2 = 1, x2 xor x3 = 1, x3 xor x1 = 1 is unsatisfiable.
@@ -90,8 +90,8 @@ class TestHardFormulas:
     def test_stats_populated(self):
         result = solve(pigeonhole(4))
         assert result.backtracks > 0
-        assert result.decisions > 0
-        assert result.seconds >= 0
+        assert result.metrics["decisions"] > 0
+        assert result.metrics["seconds"] >= 0
 
 
 def brute_force_sat(num_vars, clauses):

@@ -8,11 +8,15 @@ conflict-free formula: without the stride the runs would return SAT,
 never having looked at the clock.
 """
 
+from functools import partial
+
 import pytest
 
-from repro.sat import Cnf, Limits
-from repro.sat.cdcl import solve_cdcl
+from repro.sat import Cnf, Limits, solve_with
 from repro.sat.solver import LIMIT, solve
+
+#: The one-shot CDCL engine: a fresh ``IncrementalSolver`` per call.
+cdcl = partial(solve_with, engine="cdcl")
 
 
 class ExpiredStopwatch:
@@ -40,7 +44,7 @@ def conflict_free_cnf():
 
 @pytest.mark.parametrize(
     "module, engine",
-    [("repro.sat.solver", solve), ("repro.sat.cdcl", solve_cdcl)],
+    [("repro.sat.solver", solve), ("repro.sat.incremental", cdcl)],
     ids=["dpll", "cdcl"],
 )
 def test_deadline_fires_without_conflicts(monkeypatch, module, engine):
@@ -50,7 +54,7 @@ def test_deadline_fires_without_conflicts(monkeypatch, module, engine):
 
 
 @pytest.mark.parametrize(
-    "engine", [solve, solve_cdcl], ids=["dpll", "cdcl"]
+    "engine", [solve, cdcl], ids=["dpll", "cdcl"]
 )
 def test_no_deadline_still_completes(engine):
     # The stride check must be inert when max_seconds is None.

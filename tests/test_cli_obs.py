@@ -111,29 +111,29 @@ def test_trace_written_on_error_run(spec, tmp_path, capsys):
     assert run_end["attrs"]["status"] == "error"
 
 
-def test_summarize_trace_tool_reads_cli_journal(spec, tmp_path, capsys):
+def test_analyze_trace_profile_reads_cli_journal(spec, tmp_path, capsys):
     trace = tmp_path / "run.jsonl"
     assert main([spec, "--quiet", "--trace", str(trace)]) == 0
     capsys.readouterr()
 
-    tool = os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "tools", "summarize_trace.py",
-    )
-    spec_ = importlib.util.spec_from_file_location("summarize_trace", tool)
-    module = importlib.util.module_from_spec(spec_)
-    spec_.loader.exec_module(module)
-
-    assert module.main([str(trace), "--counters"]) == 0
+    module = _load_tool("analyze_trace")
+    assert module.main([str(trace), "--profile", "--counters"]) == 0
     out = capsys.readouterr().out
     assert "span" in out
     assert "sat_attempts" in out
+
+    # --require gates on a counter total: present passes, absent fails.
+    assert module.main([str(trace), "--counters",
+                        "--require", "sat_attempts"]) == 0
+    assert module.main([str(trace), "--counters",
+                        "--require", "result_cache_hits"]) == 1
+    assert "result_cache_hits" in capsys.readouterr().err
 
     # A malformed journal fails loudly with exit 1.
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({"ev": "start", "id": 1, "name": "x",
                                "t": 0.0}) + "\n")
-    assert module.main([str(bad)]) == 1
+    assert module.main([str(bad), "--profile"]) == 1
 
 
 def _load_tool(name):
@@ -272,8 +272,8 @@ def test_trace_gz_journal_round_trips(spec, tmp_path, capsys):
     assert "run" in {e.get("name") for e in events}
 
 
-def test_summarize_trace_diagnoses_truncated_journal(spec, tmp_path,
-                                                     capsys):
+def test_analyze_trace_diagnoses_truncated_journal(spec, tmp_path,
+                                                   capsys):
     trace = tmp_path / "run.jsonl"
     assert main([spec, "--quiet", "--trace", str(trace)]) == 0
     capsys.readouterr()
@@ -281,8 +281,8 @@ def test_summarize_trace_diagnoses_truncated_journal(spec, tmp_path,
     text = trace.read_text()
     torn.write_text(text[: len(text) // 2])  # cut mid-record
 
-    module = _load_tool("summarize_trace")
-    assert module.main([str(torn)]) == 1
+    module = _load_tool("analyze_trace")
+    assert module.main([str(torn), "--profile"]) == 1
     captured = capsys.readouterr()
     assert "skipped" in captured.err
     assert "line" in captured.err
