@@ -7,7 +7,8 @@ This walks the whole API surface a designer would touch:
 2. validate the specification (1-safe, consistent, live);
 3. inspect the state graph and its CSC conflicts;
 4. synthesise with the modular method;
-5. check the resulting covers for static hazards.
+5. verify the circuit: complete state coding, closed-loop conformance
+   and hazard-freedom (excitation persistency) in one checker pass.
 
 Run with::
 
@@ -17,11 +18,9 @@ Run with::
 from repro.bench.generators import Par, build_g
 from repro.csc import modular_synthesis
 from repro.logic import equations
-from repro.logic.extract import next_state_tables
-from repro.logic.hazards import hazard_free_patch, static_hazards
 from repro.stategraph import build_state_graph, csc_conflicts
 from repro.stg import load_stg, validate_stg
-from repro.verify import verify_synthesis
+from repro.verify import verify_result
 
 
 def design_stg():
@@ -65,25 +64,15 @@ def main():
     for line in equations(result.covers, result.expanded.signals):
         print(f"  {line}")
 
-    report = verify_synthesis(result, stg)
-    print(f"\ngate-level conformance: conforms={report.conforms} "
+    report = verify_result(result, stg, level="hazards")
+    print(f"\nverification ({', '.join(report.checks)}): "
+          f"verdict={report.verdict} "
           f"({report.states_explored} closed-loop states explored)")
-
-    print("\nstatic hazard analysis")
-    tables = next_state_tables(result.expanded)
-    clean = True
-    for signal, cover in sorted(result.covers.items()):
-        onset, _offset = tables[signal]
-        hazards = static_hazards(cover, onset)
-        if hazards:
-            clean = False
-            patches = hazard_free_patch(cover, hazards)
-            print(f"  {signal}: {len(hazards)} static-1 hazard pair(s); "
-                  f"{len(patches)} consensus cube(s) would remove them")
-        else:
-            print(f"  {signal}: hazard-free cover")
-    if clean:
-        print("  all covers are static-hazard-free as minimised")
+    for cex in report.violations:
+        print(f"  {cex.kind} after {' '.join(cex.trace) or 'reset'}: "
+              f"{cex.detail}")
+    if report.ok:
+        print("  the circuit conforms and is hazard-free")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from repro.bench import BENCHMARKS, load_benchmark
 from repro.csc import modular_synthesis
 from repro.logic import write_synthesis_blif
 from repro.stategraph import build_state_graph
-from repro.verify import verify_synthesis
+from repro.verify import verify_result
 
 
 def main():
@@ -29,10 +29,10 @@ def main():
     graph = build_state_graph(stg)
     result = modular_synthesis(graph)
 
-    report = verify_synthesis(result, stg)
-    if not report.conforms:
+    report = verify_result(result, stg, level="hazards")
+    if not report.ok:
         raise SystemExit(
-            f"refusing to export a non-conforming circuit: "
+            f"refusing to export an unverified circuit: "
             f"{report.violations[:3]}"
         )
 
@@ -40,7 +40,7 @@ def main():
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(text)
     print(f"{name}: {result.final_signals} signals, "
-          f"{result.literals} literals, conformance verified")
+          f"{result.literals} literals, conformance verified, hazard-free")
     print(f"wrote {out} ({len(text.splitlines())} lines)")
 
 

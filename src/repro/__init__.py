@@ -16,6 +16,8 @@ The public API is re-exported here; see the subpackages for details:
   method and the paper's modular partitioning method.
 * :mod:`repro.logic` -- two-level logic covers and an espresso-like
   minimizer used for the area (literal-count) results.
+* :mod:`repro.verify` -- the one checker of a result: CSC, closed-loop
+  conformance and hazard-freedom.
 * :mod:`repro.baselines` -- the Lavagno/Moon-style state-table baseline.
 * :mod:`repro.bench` -- the Table-1 benchmark suite and runner.
 """
@@ -37,7 +39,7 @@ from repro.csc import (
 )
 from repro.logic import Cover, Cube, espresso, literal_count
 from repro.runtime.options import SynthesisOptions
-from repro.verify import check_conformance, verify_synthesis
+from repro.verify import check_circuit, verify_result
 
 __version__ = "1.0.0"
 
@@ -77,7 +79,7 @@ __all__ = [
     "StateGraph",
     "SynthesisOptions",
     "build_state_graph",
-    "check_conformance",
+    "check_circuit",
     "csc_conflicts",
     "direct_synthesis",
     "espresso",
@@ -86,7 +88,7 @@ __all__ = [
     "modular_synthesis",
     "parse_g",
     "synthesize",
-    "verify_synthesis",
+    "verify_result",
     "write_g",
     "__version__",
 ]

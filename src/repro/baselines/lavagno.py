@@ -26,9 +26,7 @@ from __future__ import annotations
 from repro import obs
 from repro.csc.assignment import Assignment
 from repro.csc.errors import SynthesisError
-from repro.csc.insertion import expand
 from repro.csc.solve import solve_state_signals
-from repro.csc.verify import assert_csc
 from repro.obs import Stopwatch
 from repro.stategraph.build import build_state_graph
 from repro.stategraph.csc import csc_conflicts
@@ -160,7 +158,7 @@ def lavagno_synthesis(stg, options=None):
 
     # Expansion-level violations (interleaving corner cases) get the same
     # verify-and-repair treatment as the other methods.
-    from repro.csc.synthesis import _repair
+    from repro.csc.synthesis import _checked_expansion, _repair
 
     with obs.span("repair"):
         assignment, _model, repair_attempts = _repair(
@@ -168,12 +166,9 @@ def lavagno_synthesis(stg, options=None):
         )
     if repair_attempts:
         rounds.append(repair_attempts)
-    with obs.span("expand"):
-        expanded = expand(graph, assignment)
-    assert_csc(expanded, context="lavagno baseline result")
-    from repro.csc.synthesis import _assert_realizable
-
-    _assert_realizable(graph, assignment)
+    expanded = _checked_expansion(
+        graph, assignment, "lavagno baseline result"
+    )
 
     covers = literals = None
     if opts.minimize:

@@ -164,7 +164,3 @@ def scaling_family(width):
         cycle=["r+", Par(*rising), "a+", "r-", Par(*falling), "a-",
                "e+", "e-"],
     )
-
-
-def _is_place(token):
-    return token.startswith("p") and token[1:].isdigit()

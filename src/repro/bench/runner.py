@@ -54,16 +54,14 @@ class MethodRow:
         )
 
 
-def _base_counts(name, graph=None):
-    stg = load_benchmark(name)
-    if graph is None:
-        graph = build_state_graph(stg)
-    return stg, graph
+def _graph(name, graph=None):
+    """``graph``, or benchmark ``name``'s state graph when none is passed."""
+    return build_state_graph(load_benchmark(name)) if graph is None else graph
 
 
 def run_modular(name, minimize=True, graph=None):
     """Run the paper's method on one benchmark."""
-    stg, graph = _base_counts(name, graph)
+    graph = _graph(name, graph)
     result = modular_synthesis(
         graph, options=SynthesisOptions(minimize=minimize)
     )
@@ -87,7 +85,7 @@ def run_direct(name, limits=None, minimize=True, graph=None,
     ``note="backtrack-limit"`` instead of raising, mirroring the paper's
     aborted entries.
     """
-    stg, graph = _base_counts(name, graph)
+    graph = _graph(name, graph)
     limits = DEFAULT_DIRECT_LIMITS if limits is None else limits
     watch = Stopwatch()
     try:
@@ -122,7 +120,7 @@ def run_lavagno(name, minimize=True, graph=None):
     """Run the Lavagno/Moon-style state-table baseline."""
     from repro.baselines.lavagno import lavagno_synthesis
 
-    stg, graph = _base_counts(name, graph)
+    graph = _graph(name, graph)
     result = lavagno_synthesis(
         graph, options=SynthesisOptions(minimize=minimize)
     )
@@ -162,9 +160,7 @@ def table_rows(names=None, methods=("modular", "direct", "lavagno"),
     names = list(BENCHMARKS) if names is None else list(names)
     rows = {}
     for name in names:
-        stg = load_benchmark(name)
-        graph = build_state_graph(stg)
-        rows[name] = _method_rows(name, graph, methods, minimize,
+        rows[name] = _method_rows(name, _graph(name), methods, minimize,
                                   direct_limits)
     return rows
 

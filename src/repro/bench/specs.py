@@ -34,22 +34,6 @@ def _handshake(index, rounds=1):
     return [f"d{index}+", f"q{index}+", f"d{index}-", f"q{index}-"] * rounds
 
 
-def _completion(index, pulses=1):
-    """A completion-signal branch: w toggles, ending high.
-
-    The pre-``w+`` state shares its code with the branch's start, and
-    only one of them excites the output ``w`` -- a genuine CSC conflict
-    that is *local to w's own module*: exactly the kind of conflict the
-    modular method isolates into a tiny SAT instance.
-    """
-    events = []
-    for _ in range(pulses - 1):
-        events.append(f"w{index}+")
-        events.append(f"w{index}-")
-    events.append(f"w{index}+")
-    return events
-
-
 def _pulsed_branch(index, pulse, half_rounds=2):
     """A double-round handshake whose rounds a mid-branch pulse tells apart.
 

@@ -8,7 +8,6 @@
   :mod:`repro.csc.propagate`, :mod:`repro.csc.synthesis` -- the paper's
   modular partitioning method (Figures 2-6).
 * :mod:`repro.csc.insertion` -- state-graph expansion with state signals.
-* :mod:`repro.csc.verify` -- CSC verification of solved graphs.
 """
 
 from repro.csc.assignment import Assignment
@@ -27,7 +26,6 @@ from repro.csc.sat_csc import CscFormula, build_csc_formula, formula_stats
 from repro.csc.solve import AttemptStats, SolveOutcome, solve_state_signals
 from repro.csc.synthesis import ModularResult, ModuleReport, modular_synthesis
 from repro.csc.values import Value, edge_compatible, merge_values
-from repro.csc.verify import assert_csc, verify_csc
 
 __all__ = [
     "Assignment",
@@ -44,7 +42,6 @@ __all__ = [
     "SolveOutcome",
     "SynthesisError",
     "Value",
-    "assert_csc",
     "build_csc_formula",
     "determine_input_set",
     "direct_synthesis",
@@ -58,5 +55,4 @@ __all__ = [
     "sg_triggers",
     "solve_csc_direct",
     "solve_state_signals",
-    "verify_csc",
 ]

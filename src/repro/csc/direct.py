@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from repro import obs
 from repro.csc.assignment import Assignment
-from repro.csc.insertion import ExpandedModel, expand
+from repro.csc.insertion import ExpandedModel
 from repro.csc.solve import DEFAULT_MAX_SIGNALS, solve_state_signals
-from repro.csc.verify import assert_csc
 from repro.obs import Stopwatch
 from repro.stategraph.build import build_state_graph
 from repro.stategraph.graph import StateGraph
@@ -167,12 +166,11 @@ def direct_synthesis(stg, options=None):
 
         with obs.span("polish"):
             assignment = polish_assignment(assignment, model)
-    with obs.span("expand"):
-        expanded = expand(graph, assignment)
-    assert_csc(expanded, context="direct synthesis result")
-    from repro.csc.synthesis import _assert_realizable
+    from repro.csc.synthesis import _checked_expansion
 
-    _assert_realizable(graph, assignment)
+    expanded = _checked_expansion(
+        graph, assignment, "direct synthesis result"
+    )
 
     covers = literals = None
     if opts.minimize:

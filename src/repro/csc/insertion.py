@@ -185,9 +185,9 @@ class ExpandedModel:
     {signature: count}`` buckets -- ``conflicts`` counts the codes with
     two signatures, i.e. ``csc_conflicts(expanded)`` is non-empty -- and
     per labelled Σ edge the number of its copies that drop a non-input
-    excitation (``violations``: ``persistence_violations``).  Inserted
-    signals need no persistence count: along any compatible edge they
-    stay excited until they fire.
+    excitation (``violations``, the expansion's persistence breaks).
+    Inserted signals need no persistence count: along any compatible
+    edge they stay excited until they fire.
 
     A copy's code and excitation read only the rows of its Σ state and
     that state's successors, so a flip at ``s`` re-derives the copies of

@@ -34,7 +34,7 @@ from repro.runtime.report import (
     RunReport,
 )
 from repro.stategraph.build import build_state_graph
-from repro.stategraph.csc import conflicted_outputs
+from repro.stategraph.csc import conflicted_outputs, csc_conflicts
 from repro.stategraph.graph import StateGraph
 from repro.sat.solver import Limits
 
@@ -305,7 +305,7 @@ def modular_synthesis(stg, options=None):
             with obs.span("polish"):
                 assignment = polish_assignment(assignment, model)
         _assert_realizable(graph, assignment)
-        with obs.span("expand"):
+        with obs.span("expansion"):
             expanded = expand(graph, assignment)
 
         covers = literals = None
@@ -503,6 +503,22 @@ def _assert_realizable(graph, assignment):
             f"assignment serialises a state signal before an input on "
             f"{len(problems)} edge(s): unrealisable ordering"
         )
+
+
+def _checked_expansion(graph, assignment, context):
+    """The direct and lavagno methods' final expansion, asserted CSC-clean
+    (``AssertionError`` naming ``context``) before the assignment's
+    realisability is checked."""
+    with obs.span("expansion"):
+        expanded = expand(graph, assignment)
+    conflicts = csc_conflicts(expanded)
+    if conflicts:
+        raise AssertionError(
+            f"CSC violated by {len(conflicts)} state pair(s) ({context}): "
+            f"{conflicts[:5]}"
+        )
+    _assert_realizable(graph, assignment)
+    return expanded
 
 
 def _default_output_order(graph, cache, conflicted):

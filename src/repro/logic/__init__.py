@@ -16,7 +16,6 @@ from repro.logic.format import cover_to_expression, cube_to_expression, equation
 from repro.logic.espresso import espresso
 from repro.logic.extract import next_state_tables, synthesize_logic
 from repro.logic.literals import literal_count, total_literals
-from repro.logic.hazards import static_hazards
 
 __all__ = [
     "CElementImplementation",
@@ -28,7 +27,6 @@ __all__ = [
     "espresso",
     "literal_count",
     "next_state_tables",
-    "static_hazards",
     "synthesize_celements",
     "synthesize_logic",
     "total_literals",

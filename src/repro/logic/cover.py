@@ -238,9 +238,6 @@ class Cover:
         """0/1 value of the cover's function on a full input vector."""
         return 1 if self.contains_minterm(bits) else 0
 
-    def intersects_cube(self, cube):
-        return any(cube.intersects(c) for c in self.cubes)
-
     @property
     def literals(self):
         """Total literal count -- the paper's area metric."""

@@ -17,20 +17,13 @@ with SIS, Stephan et al. 1992).  This package provides:
   *minimum-weight* models (the follow-up paper's area-driven approach);
 * :func:`solve_with` -- engine dispatch, defaulting to a DPLL-then-CDCL
   hybrid, with an optional fallback ladder that escalates engines on a
-  ``LIMIT`` outcome;
-* :mod:`repro.sat.encode` -- small clause-encoding helpers.
+  ``LIMIT`` outcome.
 """
 
 from repro import obs
 from repro.runtime.faults import should_fire as _fault_fires
 from repro.sat.cnf import Cnf
 from repro.sat.bdd_engine import solve_bdd
-from repro.sat.encode import (
-    add_at_most_one,
-    add_equal,
-    add_implies,
-    add_xor_var,
-)
 from repro.sat.incremental import IncrementalSolver
 from repro.sat.solver import (
     LIMIT,
@@ -198,10 +191,6 @@ __all__ = [
     "SAT",
     "SolveResult",
     "UNSAT",
-    "add_at_most_one",
-    "add_equal",
-    "add_implies",
-    "add_xor_var",
     "solve",
     "solve_bdd",
     "solve_with",

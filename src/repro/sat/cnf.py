@@ -71,9 +71,6 @@ class Cnf:
             raise ValueError(f"unknown variable {var}")
         self._weights[var] = weight
 
-    def weight_of(self, var):
-        return self._weights.get(var, 0)
-
     @property
     def weights(self):
         """Copy of the ``var -> weight`` mapping (zero weights omitted)."""

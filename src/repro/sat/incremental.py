@@ -313,10 +313,6 @@ class IncrementalSolver:
         """Problem clauses currently stored (learned ones not counted)."""
         return len(self.clauses)
 
-    @property
-    def num_learned(self):
-        return len(self.learned)
-
     def _next_seq(self):
         self._seq += 1
         return self._seq

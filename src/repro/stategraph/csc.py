@@ -282,33 +282,6 @@ def csc_conflicts_and_bound(graph, outputs=None, extra_codes=None,
     return conflicts, bound
 
 
-def persistence_violations(graph, signals=None):
-    """Semi-modularity of non-input signals, checked on the graph itself.
-
-    A non-input signal excited in a state must stay excited (or be the
-    one that fired) in every successor; losing the excitation is a
-    glitch in some delay assignment.  Input signals are exempt -- the
-    environment may withdraw a choice.
-
-    Returns ``(source, target, signal)`` triples; empty when persistent.
-    """
-    from repro.stategraph.graph import EPSILON as _EPS
-
-    watched = graph.non_inputs if signals is None else frozenset(signals)
-    problems = []
-    for source, label, target in graph.edges:
-        if label is _EPS:
-            continue
-        fired = label[0]
-        after = graph.excitation(target)
-        for signal, direction in graph.excitation(source).items():
-            if signal == fired or signal not in watched:
-                continue
-            if after.get(signal) != direction:
-                problems.append((source, target, signal))
-    return problems
-
-
 def max_csc(graph, extra_codes=None):
     """``Max_csc``: the largest number of states sharing one code."""
     classes = code_classes(graph, extra_codes)

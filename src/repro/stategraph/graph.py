@@ -228,14 +228,6 @@ class StateGraph:
         self._excitation_cache[state] = result
         return result
 
-    def enabled_non_inputs(self, state):
-        """Frozenset of ``(signal, direction)`` for excited non-inputs."""
-        return frozenset(
-            (signal, direction)
-            for signal, direction in self.excitation(state).items()
-            if signal in self.non_inputs
-        )
-
     def implied_masks(self):
         """Every state's implied values as :class:`ImpliedMasks`.
 

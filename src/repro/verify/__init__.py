@@ -3,28 +3,21 @@
 The synthesis flow ends with two-level covers; this package closes the
 loop: it builds a gate-level circuit model from the covers
 (:mod:`repro.verify.circuit`) and model-checks it against the STG's
-state graph acting as the environment
-(:mod:`repro.verify.conformance`) -- the "circuit verification process"
-the paper argues partitioning simplifies (Section 3.1).
+state graph acting as the environment -- the "circuit verification
+process" the paper argues partitioning simplifies (Section 3.1).
 
-The conformance check explores every interleaving of circuit and
-environment transitions under the speed-independent (unbounded gate
-delay) model and reports:
-
-* **unexpected outputs** -- the circuit excites an output transition the
-  specification does not allow;
-* **output hazards** -- an excited non-input signal loses its excitation
-  without firing (a glitch in any delay realisation);
-* **missing outputs** -- with all internal signals settled, the circuit
-  fails to excite an output the specification requires;
-* **deadlocks** -- the closed loop gets stuck although the
-  specification is live.
-
-:mod:`repro.verify.checker` is the leveled engine behind all of it:
-``csc`` (static coding re-check), ``conformance`` (the I/O checks
-above) and ``hazards`` (conformance plus excitation persistency, the
-semi-modularity / speed-independence condition), each violation
-carrying a minimal, replayable counterexample trace.
+:mod:`repro.verify.checker` is the one checker: every verdict on
+whether a result is CSC-clean, conformant or hazard-free comes from
+:func:`~repro.verify.checker.verify_result` (a synthesis result) or
+:func:`~repro.verify.checker.check_circuit` (any gate netlist).  Its
+levels build on each other: ``csc`` re-checks complete state coding on
+the expanded graph; ``conformance`` explores every interleaving of
+circuit and environment under the speed-independent (unbounded gate
+delay) model and reports unexpected outputs, missing outputs and
+deadlocks; ``hazards`` adds excitation persistency, the
+semi-modularity condition, reporting output hazards and
+semi-modularity violations of inserted state signals apart.  Each
+violation carries a minimal, replayable counterexample trace.
 :mod:`repro.verify.mutate` seeds circuit mutants (flipped cube
 literals, dropped cover terms, swapped reset values) that the negative
 test suite uses to prove the checker actually catches broken circuits.
@@ -44,12 +37,6 @@ from repro.verify.checker import (
     verify_result,
 )
 from repro.verify.circuit import Circuit
-from repro.verify.conformance import (
-    ConformanceReport,
-    Violation,
-    check_conformance,
-    verify_synthesis,
-)
 from repro.verify.mutate import (
     MUTATION_KINDS,
     Mutant,
@@ -62,16 +49,13 @@ __all__ = [
     "CEX_KINDS",
     "Circuit",
     "ClosedLoop",
-    "ConformanceReport",
     "Counterexample",
     "MUTATION_KINDS",
     "Mutant",
     "TraceReplayError",
     "VERIFY_LEVELS",
     "VerifyReport",
-    "Violation",
     "check_circuit",
-    "check_conformance",
     "mutant_circuit",
     "mutate_result",
     "observable_check",
@@ -79,5 +63,4 @@ __all__ = [
     "replay_trace",
     "reset_vector",
     "verify_result",
-    "verify_synthesis",
 ]

@@ -1,6 +1,6 @@
 """Integration tests for the direct (no-decomposition) method."""
 
-from repro.csc import Assignment, direct_synthesis, verify_csc
+from repro.csc import Assignment, direct_synthesis
 from repro.stg import parse_g
 from repro.stategraph import build_state_graph, csc_conflicts
 from repro.runtime.options import SynthesisOptions
@@ -12,7 +12,6 @@ class TestDirectSynthesis:
     def test_all_examples_synthesise(self):
         for text in ALL.values():
             result = direct_synthesis(parse_g(text))
-            assert verify_csc(result.expanded) == []
             assert csc_conflicts(result.expanded) == []
 
     def test_clean_graph_untouched(self):
@@ -62,9 +61,12 @@ class TestDirectSynthesis:
 class TestVerify:
     def test_verify_reports_conflicts_without_assignment(self):
         graph = build_state_graph(parse_g(CSC_CONFLICT))
-        assert len(verify_csc(graph)) == 1
+        assert len(csc_conflicts(graph)) == 1
 
     def test_verify_accepts_empty_assignment(self):
         graph = build_state_graph(parse_g(HANDSHAKE))
         empty = Assignment.empty(graph.num_states)
-        assert verify_csc(graph, empty) == []
+        assert csc_conflicts(
+            graph, extra_codes=empty.cur_bits(),
+            extra_implied=empty.implied_bits(),
+        ) == []

@@ -12,7 +12,6 @@ from repro.csc import (
     partition_sat,
     propagate,
     synthesis,
-    verify_csc,
 )
 from repro.stg import parse_g
 from repro.stategraph import build_state_graph, csc_conflicts
@@ -72,7 +71,7 @@ class TestModularSynthesis:
     def test_all_examples_synthesise(self):
         for text in ALL.values():
             result = modular_synthesis(parse_g(text))
-            assert verify_csc(result.expanded) == []
+            assert csc_conflicts(result.expanded) == []
             assert result.literals is not None and result.literals > 0
 
     def test_clean_stg_needs_no_signals(self):

@@ -13,12 +13,12 @@ from repro.csc.insertion import CODE, ExpandedModel
 from repro.csc.polish import _accepts, polish_assignment
 from repro.csc.values import edge_compatible
 from repro.stategraph import build_state_graph, csc_conflicts
-from repro.stategraph.csc import persistence_violations
 from repro.stategraph.graph import EPSILON
 from repro.stg import parse_g
 from repro.runtime.options import SynthesisOptions
 
 from tests.example_stgs import CSC_CONFLICT, HANDSHAKE, generated_corpus
+from tests.stategraph.test_persistence import persistence_violations
 
 
 # Polish's acceptance test from before it read the expanded model, kept

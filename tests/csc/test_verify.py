@@ -1,26 +1,42 @@
-"""Tests for CSC verification helpers."""
+"""CSC checks of solved graphs.
+
+``csc_conflicts`` judges a graph under an assignment's code and implied
+bits; the direct and lavagno methods assert it on their final expansion
+through ``_checked_expansion``.
+"""
 
 import pytest
 
-from repro.csc import Assignment, Value, verify_csc
-from repro.csc.verify import assert_csc
-from repro.stategraph import build_state_graph
+from repro.csc import Assignment, Value
+from repro.csc.synthesis import _checked_expansion
+from repro.stategraph import build_state_graph, csc_conflicts
 from repro.stg import parse_g
 
 from tests.example_stgs import CSC_CONFLICT, HANDSHAKE
 
 
+def _conflicts(graph, assignment):
+    return csc_conflicts(
+        graph,
+        extra_codes=assignment.cur_bits(),
+        extra_implied=assignment.implied_bits(),
+    )
+
+
 def test_clean_graph_verifies():
     graph = build_state_graph(parse_g(HANDSHAKE))
-    assert verify_csc(graph) == []
-    assert_csc(graph)  # must not raise
+    assert csc_conflicts(graph) == []
+    empty = Assignment.empty(graph.num_states)
+    expanded = _checked_expansion(graph, empty, "unit test")  # no raise
+    assert expanded.num_states == graph.num_states
 
 
 def test_conflict_reported():
     graph = build_state_graph(parse_g(CSC_CONFLICT))
-    assert len(verify_csc(graph)) == 1
-    with pytest.raises(AssertionError, match="CSC violated"):
-        assert_csc(graph, context="unit test")
+    assert len(csc_conflicts(graph)) == 1
+    empty = Assignment.empty(graph.num_states)
+    with pytest.raises(AssertionError, match="CSC violated by 1 state pair"):
+        _checked_expansion(graph, empty, "unit test")
 
 
 def test_assignment_resolves():
@@ -30,8 +46,9 @@ def test_assignment_resolves():
         (Value.UP,), (Value.ONE,), (Value.DOWN,),
     ]
     assignment = Assignment(("n0",), values)
-    assert verify_csc(graph, assignment) == []
-    assert_csc(graph, assignment)
+    assert _conflicts(graph, assignment) == []
+    expanded = _checked_expansion(graph, assignment, "unit test")
+    assert csc_conflicts(expanded) == []
 
 
 def test_state_signal_own_consistency_checked():
@@ -41,10 +58,11 @@ def test_state_signal_own_consistency_checked():
     assignment = Assignment(
         ("n0",), [(Value.ZERO,)] * graph.num_states
     )
-    assert verify_csc(graph, assignment) == []
+    assert _conflicts(graph, assignment) == []
 
 
 def test_context_in_message():
     graph = build_state_graph(parse_g(CSC_CONFLICT))
-    with pytest.raises(AssertionError, match="somewhere"):
-        assert_csc(graph, context="somewhere")
+    empty = Assignment.empty(graph.num_states)
+    with pytest.raises(AssertionError, match=r"\(somewhere\)"):
+        _checked_expansion(graph, empty, "somewhere")

@@ -18,7 +18,7 @@ from repro.runtime import faults
 from repro.runtime.run import run_synthesis
 from repro.stg import parse_g
 from repro.stategraph import build_state_graph, csc_conflicts
-from repro.verify import verify_synthesis
+from repro.verify import verify_result
 
 from tests.example_stgs import ALL, CHOICE, CONCURRENT, CSC_CONFLICT
 
@@ -63,8 +63,8 @@ def test_injected_module_fault_degrades_but_verifies(text, faulted):
     result = report.result
     assert result is not None
     assert csc_conflicts(result.expanded) == []
-    check = verify_synthesis(result, stg)
-    assert check.conforms, (check.violations, check.deadlocks)
+    check = verify_result(result, stg, level="hazards")
+    assert check.ok, check.violations
 
 
 def _corrupt(text, position, payload):

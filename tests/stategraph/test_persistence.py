@@ -1,14 +1,44 @@
-"""Tests for semi-modularity (persistence) analysis."""
+"""Semi-modularity (persistence) of state graphs.
+
+:func:`persistence_violations` checks the property on a graph itself.
+The pipeline judges hazard-freedom on the closed loop
+(:mod:`repro.verify.checker`, level ``hazards``), so this graph-level
+check is a test oracle only: here and in polish's acceptance reference
+(``tests/csc/test_polish.py``).
+"""
 
 from repro.bench import load_benchmark
 from repro.csc import modular_synthesis
-from repro.stategraph import build_state_graph
-from repro.stategraph.csc import persistence_violations
+from repro.stategraph import EPSILON, build_state_graph
 from repro.stategraph.graph import StateGraph
 from repro.stg import parse_g
 from repro.runtime.options import SynthesisOptions
 
 from tests.example_stgs import ALL
+
+
+def persistence_violations(graph):
+    """Semi-modularity of non-input signals, checked on the graph itself.
+
+    A non-input signal excited in a state must stay excited (or be the
+    one that fired) in every successor; losing the excitation is a
+    glitch in some delay assignment.  Input signals are exempt -- the
+    environment may withdraw a choice.
+
+    Returns ``(source, target, signal)`` triples; empty when persistent.
+    """
+    problems = []
+    for source, label, target in graph.edges:
+        if label is EPSILON:
+            continue
+        fired = label[0]
+        after = graph.excitation(target)
+        for signal, direction in graph.excitation(source).items():
+            if signal == fired or signal not in graph.non_inputs:
+                continue
+            if after.get(signal) != direction:
+                problems.append((source, target, signal))
+    return problems
 
 
 def test_specifications_are_persistent():

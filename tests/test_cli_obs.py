@@ -210,31 +210,43 @@ def test_verify_span_splits_into_csc_and_explore(tmp_path, monkeypatch,
     assert "verify_vectors" not in document["counters"]
 
 
-def test_repair_polish_and_expansion_spans_nest(tmp_path):
+def test_repair_polish_and_expansion_spans_nest(tmp_path, capsys):
     # Each repair round builds its expanded model in a ``model`` span,
     # next to the round's solve spans; polish splits into its gate and
-    # its walk; the one expansion after polish is an ``expand`` span of
-    # ``run``, not ``run`` self time.
+    # its walk; the one expansion after polish is an ``expansion`` span
+    # of ``run``, not ``run`` self time.  The profile groups spans by
+    # name, so its ``expansion`` row is that one span and its ``expand``
+    # row holds espresso's rounds alone.
     from repro.obs import build_forest, walk_forest
 
     spec = resources.files("repro.data").joinpath("mmu0.g")
     trace = tmp_path / "run.jsonl"
-    assert main([str(spec), "--quiet", "--trace", str(trace)]) == 0
+    assert main([str(spec), "--quiet", "--trace", str(trace),
+                 "--profile-top", "50"]) == 0
     nodes = list(walk_forest(build_forest(load_journal(str(trace)))))
     (run,) = [node for node in nodes if node.name == "run"]
     phases = [child.name for child in run.children]
-    assert phases.count("expand") == 1
+    assert phases.count("expansion") == 1
     assert (phases.index("repair") < phases.index("polish")
-            < phases.index("expand") < phases.index("minimize"))
-    repair, polish, expand = (
+            < phases.index("expansion") < phases.index("minimize"))
+    repair, polish, expansion, minimize = (
         run.children[phases.index(name)]
-        for name in ("repair", "polish", "expand")
+        for name in ("repair", "polish", "expansion", "minimize")
     )
     rounds = repair.counters.as_dict()["repair_rounds"]
     assert [child.name for child in repair.children] == ["model"] * rounds
     assert [child.name for child in polish.children] == ["gate", "walk"]
     assert "polish_flips" in polish.counters.as_dict()
-    assert expand.children == []
+    assert expansion.children == []
+
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("span"))
+    counts = {line.split()[0]: int(line.split()[1])
+              for line in lines[header + 1:]}
+    espresso_rounds = [child for child in minimize.children
+                       if child.name == "expand"]
+    assert counts["expansion"] == 1
+    assert counts["expand"] == len(espresso_rounds) > 1
 
 
 def test_metrics_prom_writes_valid_exposition_page(spec, tmp_path, capsys):

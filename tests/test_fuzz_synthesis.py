@@ -10,7 +10,8 @@ the full pipeline must uphold its invariants:
 * collapsing the inserted signals recovers the original state graph;
 * the ``.g`` writer round-trips the STG;
 * the minimised covers implement the extracted next-state functions;
-* the gate-level circuit conforms to the specification.
+* the gate-level circuit conforms to the specification and is
+  hazard-free.
 
 The strategies live in :mod:`tests.example_stgs` so the verification
 suites reuse the same corpus, and every ``@settings`` here passes
@@ -25,7 +26,7 @@ from repro.logic.espresso import verify_cover
 from repro.logic.extract import next_state_tables
 from repro.stategraph import build_state_graph, csc_conflicts, quotient
 from repro.stg import parse_g, write_g
-from repro.verify import verify_synthesis
+from repro.verify import verify_result
 
 from tests.example_stgs import choice_controller, controller, well_formed
 
@@ -48,8 +49,8 @@ def test_fuzzed_choice_controllers(text):
     graph = build_state_graph(stg)
     result = modular_synthesis(graph)
     assert csc_conflicts(result.expanded) == []
-    report = verify_synthesis(result, stg)
-    assert report.conforms, (report.violations, report.deadlocks)
+    report = verify_result(result, stg, level="hazards")
+    assert report.ok, report.violations
 
 
 @settings(
@@ -88,5 +89,5 @@ def test_fuzzed_controllers_synthesise_correctly(text):
         assert verify_cover(cover, onset, offset) == []
 
     # The gate-level closed loop conforms.
-    report = verify_synthesis(result, stg)
-    assert report.conforms, (report.violations, report.deadlocks)
+    report = verify_result(result, stg, level="hazards")
+    assert report.ok, report.violations

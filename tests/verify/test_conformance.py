@@ -1,4 +1,8 @@
-"""Closed-loop conformance tests: synthesised circuits against their STGs."""
+"""Closed-loop conformance tests: synthesised circuits against their STGs.
+
+Every synthesised circuit must pass the checker at ``hazards``: CSC,
+conformance and excitation persistency.
+"""
 
 import pytest
 
@@ -8,7 +12,7 @@ from repro.csc import direct_synthesis, modular_synthesis
 from repro.logic.cover import Cover
 from repro.stategraph import build_state_graph
 from repro.stg import parse_g
-from repro.verify import Circuit, check_conformance, verify_synthesis
+from repro.verify import Circuit, check_circuit, verify_result
 
 from tests.example_stgs import ALL, HANDSHAKE
 
@@ -21,31 +25,31 @@ SMALL_BENCHMARKS = [
 @pytest.mark.parametrize("name", sorted(ALL))
 def test_modular_circuits_conform(name):
     stg = parse_g(ALL[name])
-    report = verify_synthesis(modular_synthesis(stg), stg)
-    assert report.conforms, report.violations
+    report = verify_result(modular_synthesis(stg), stg, level="hazards")
+    assert report.ok, report.violations
 
 
 @pytest.mark.parametrize("name", sorted(ALL))
 def test_direct_circuits_conform(name):
     stg = parse_g(ALL[name])
-    report = verify_synthesis(direct_synthesis(stg), stg)
-    assert report.conforms, report.violations
+    report = verify_result(direct_synthesis(stg), stg, level="hazards")
+    assert report.ok, report.violations
 
 
 @pytest.mark.parametrize("name", SMALL_BENCHMARKS)
 def test_benchmark_circuits_conform(name):
     stg = load_benchmark(name)
     graph = build_state_graph(stg)
-    report = verify_synthesis(modular_synthesis(graph), stg)
-    assert report.conforms, report.violations
+    report = verify_result(modular_synthesis(graph), stg, level="hazards")
+    assert report.ok, report.violations
 
 
 @pytest.mark.parametrize("name", SMALL_BENCHMARKS[:4])
 def test_lavagno_circuits_conform(name):
     stg = load_benchmark(name)
     graph = build_state_graph(stg)
-    report = verify_synthesis(lavagno_synthesis(graph), stg)
-    assert report.conforms, report.violations
+    report = verify_result(lavagno_synthesis(graph), stg, level="hazards")
+    assert report.ok, report.violations
 
 
 class TestViolationDetection:
@@ -57,8 +61,8 @@ class TestViolationDetection:
         bad_covers = dict(result.covers)
         bad_covers["b"] = Cover.from_strings(len(graph.signals), ["0-"])
         circuit = Circuit(graph.signals, stg.inputs, bad_covers)
-        report = check_conformance(circuit, result.graph)
-        assert not report.conforms
+        report = check_circuit(circuit, result.graph)
+        assert report.verdict is False
         kinds = {v.kind for v in report.violations}
         assert "unexpected-output" in kinds or "missing-output" in kinds
 
@@ -69,7 +73,7 @@ class TestViolationDetection:
         dead_covers = dict(result.covers)
         dead_covers["b"] = Cover(len(graph.signals))  # constant 0
         circuit = Circuit(graph.signals, stg.inputs, dead_covers)
-        report = check_conformance(circuit, result.graph)
+        report = check_circuit(circuit, result.graph)
         assert any(
             v.kind == "missing-output" and v.signal == "b"
             for v in report.violations
@@ -82,15 +86,15 @@ class TestViolationDetection:
         bad_covers = dict(result.covers)
         bad_covers["b"] = Cover.from_strings(len(graph.signals), ["--"])
         circuit = Circuit(graph.signals, stg.inputs, bad_covers)
-        report = check_conformance(circuit, result.graph)
-        assert not report.conforms
+        report = check_circuit(circuit, result.graph)
+        assert report.verdict is False
         violation = report.violations[0]
-        assert isinstance(violation.trace, list)
-        assert "Violation" in repr(violation)
+        assert isinstance(violation.trace, tuple)
+        assert "Counterexample" in repr(violation)
 
     def test_spec_signals_must_be_subset(self):
         stg = parse_g(HANDSHAKE)
         result = modular_synthesis(stg)
         circuit = Circuit(("a",), ["a"], {})
         with pytest.raises(ValueError):
-            check_conformance(circuit, result.graph)
+            check_circuit(circuit, result.graph)

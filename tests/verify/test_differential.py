@@ -8,8 +8,8 @@ on, for benchmark STGs and Hypothesis-generated controllers alike:
 * the expanded graph satisfies CSC;
 * collapsing the inserted state signals recovers the original state
   graph (behaviour preservation);
-* the gate-level closed loop conforms to the specification
-  (:func:`repro.verify.verify_synthesis`).
+* the gate-level closed loop conforms to the specification and is
+  hazard-free (:func:`repro.verify.verify_result` at ``hazards``).
 """
 
 import pytest
@@ -21,7 +21,7 @@ from repro.csc import direct_synthesis, modular_synthesis
 from repro.runtime.options import SynthesisOptions
 from repro.stategraph import build_state_graph, csc_conflicts, quotient
 from repro.stg import parse_g
-from repro.verify import verify_synthesis
+from repro.verify import verify_result
 
 from tests.example_stgs import ALL, controller, generated_corpus, well_formed
 from tests.verify.test_conformance import SMALL_BENCHMARKS
@@ -72,8 +72,8 @@ def check_synthesis(stg, graph, result):
             "collapsing the inserted signals does not recover the "
             "original state graph"
         )
-    report = verify_synthesis(result, stg)
-    assert report.conforms, (report.violations, report.deadlocks)
+    report = verify_result(result, stg, level="hazards")
+    assert report.ok, report.violations
 
 
 DIFFERENTIAL_BENCHMARKS = SMALL_BENCHMARKS[:6]
