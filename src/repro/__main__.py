@@ -87,8 +87,9 @@ from repro.runtime.budget import Budget
 from repro.runtime.options import SynthesisOptions
 from repro.runtime.report import RUN_ERROR, RUN_TIMEOUT
 from repro.runtime.run import run_synthesis
-from repro.sat import ENGINES
+from repro.sat import ENGINES, SAT_MODES
 from repro.stg import load_stg, validate_stg
+from repro.verify.checker import VERIFY_LEVELS
 
 _METHODS = ("modular", "direct", "lavagno")
 
@@ -113,7 +114,7 @@ def main(argv=None):
         default="hybrid",
     )
     parser.add_argument(
-        "--sat-mode", choices=["incremental", "oneshot"],
+        "--sat-mode", choices=SAT_MODES,
         default="incremental",
         help="incremental: one assumption-based solver per grow-m loop "
              "(learned clauses carry across attempts); oneshot: cold "
@@ -146,7 +147,7 @@ def main(argv=None):
     )
     parser.add_argument("--blif", metavar="PATH", default=None)
     parser.add_argument(
-        "--verify-level", choices=["csc", "conformance", "hazards"],
+        "--verify-level", choices=VERIFY_LEVELS,
         default="hazards",
         help="verification depth: csc re-checks state coding statically, "
              "conformance model-checks the gate-level closed loop, "

@@ -22,7 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, replace
 
-from repro.sat import ENGINES
+from repro.sat import ENGINES, SAT_MODES
+from repro.verify.checker import VERIFY_LEVELS
 
 #: Schema tag carried by every serialized request/response document.
 API_SCHEMA = "repro-api/1"
@@ -32,9 +33,6 @@ METHODS = ("modular", "direct", "lavagno")
 
 #: Cache tiers a response may report.
 CACHE_TIERS = ("off", "miss", "hit")
-
-#: Verification levels a request may name (weakest to strongest).
-VERIFY_LEVELS = ("csc", "conformance", "hazards")
 
 
 class ApiError(ValueError):
@@ -74,9 +72,9 @@ class SynthesisRequest:
             raise ApiError(
                 f"engine must be one of {ENGINES}, not {self.engine!r}"
             )
-        if self.sat_mode not in ("incremental", "oneshot"):
+        if self.sat_mode not in SAT_MODES:
             raise ApiError(
-                f"sat_mode must be 'incremental' or 'oneshot', "
+                f"sat_mode must be one of {SAT_MODES}, "
                 f"not {self.sat_mode!r}"
             )
         if self.timeout_seconds is not None:

@@ -36,6 +36,8 @@ graph Σ and on the macro graphs the modular method projects from it.
 
 from __future__ import annotations
 
+from itertools import count
+
 from repro.csc.errors import IntrinsicConflictError
 from repro.csc.values import Value
 from repro.sat.cnf import Cnf
@@ -254,6 +256,12 @@ _INCONSISTENT_COMBOS = (
     (1, 0, 1, 1),  # (1, Down)
     (0, 1, 1, 1),  # (Up, Down): spans fully overlap, implied 1 vs 0
     (1, 1, 0, 1),  # (Down, Up)
+)
+
+#: The same combinations as literal signs of (a_i, b_i, a_j, b_j): a
+#: clause excluding a combination negates each variable set in it.
+_INCONSISTENT_SIGNS = tuple(
+    tuple(-1 if bit else 1 for bit in combo) for combo in _INCONSISTENT_COMBOS
 )
 
 
@@ -575,102 +583,112 @@ class IncrementalCscFormula:
 
     def _grow_column(self):
         """Add state-signal column ``k = self.m`` (monotone: no clause
-        touching existing columns is revisited)."""
+        touching existing columns is revisited).
+
+        The column's variables are numbered in the order the families
+        below first use them and allocated in one call; the families'
+        clauses are gathered in order and loaded in one batch.
+        """
         k = self.m
         solver = self.solver
-        add = solver.add_clause
+        graph = self.graph
         a, b = self._a, self._b
-        for state in self.graph.states():
-            a[state].append(solver.new_var())
-        for state in self.graph.states():
-            b[state].append(solver.new_var())
-        enable = solver.new_var()
+        fresh = count(solver.num_vars + 1)
+        for state in graph.states():
+            a[state].append(next(fresh))
+        for state in graph.states():
+            b[state].append(next(fresh))
+        enable = next(fresh)
         self._enables.append(enable)
         off = -enable
-        non_inputs = self.graph.non_inputs
+        serial = -self.noserial
+        non_inputs = graph.non_inputs
+        clauses = []
 
         for source, label, target in self._edges:
             au, bu = a[source][k], b[source][k]
             av, bv = a[target][k], b[target][k]
             # The six successor clauses of _add_edge_compatibility,
             # guarded by the column enable.
-            add([off, au, bu, -av])
-            add([off, au, -bu, av, bv])
-            add([off, au, -bu, -av, -bv])
-            add([off, -au, bu, av])
-            add([off, -au, -bu, -av, bv])
-            add([off, -au, -bu, av, -bv])
+            clauses += (
+                [off, au, bu, -av],
+                [off, au, -bu, av, bv],
+                [off, au, -bu, -av, -bv],
+                [off, -au, bu, av],
+                [off, -au, -bu, -av, bv],
+                [off, -au, -bu, av, -bv],
+            )
             if label[0] not in non_inputs:
                 # Input edges: never fire before the environment.
-                add([off, au, -bu, -av, bv])
-                add([off, -au, -bu, av, bv])
+                clauses += ([off, au, -bu, -av, bv], [off, -au, -bu, av, bv])
             else:
                 # Output edges: the same two orderings are *optionally*
                 # banned, guarded by the serialisation guard.
-                add([off, -self.noserial, au, -bu, -av, bv])
-                add([off, -self.noserial, -au, -bu, av, bv])
+                clauses += (
+                    [off, serial, au, -bu, -av, bv],
+                    [off, serial, -au, -bu, av, bv],
+                )
 
-        for i, j in self.conflict_pairs:
+        def separator(i, j):
+            """A fresh selector implying column ``k`` separates states
+            ``i`` and ``j`` stably."""
             ai, aj = a[i][k], a[j][k]
-            bi, bj = b[i][k], b[j][k]
-            d = solver.new_var()
-            add([-d, enable])  # a disabled column separates nothing
-            add([-d, ai, aj])
-            add([-d, -ai, -aj])
-            add([-d, -bi])
-            add([-d, -bj])
-            self._dist[(i, j)].append(d)
+            d = next(fresh)
+            clauses.extend((
+                [-d, enable],  # a disabled column separates nothing
+                [-d, ai, aj],
+                [-d, -ai, -aj],
+                [-d, -b[i][k]],
+                [-d, -b[j][k]],
+            ))
+            return d
 
-        for i, j in self.match_pairs:
-            ai, aj = a[i][k], a[j][k]
-            bi, bj = b[i][k], b[j][k]
-            d = solver.new_var()
-            add([-d, enable])
-            add([-d, ai, aj])
-            add([-d, -ai, -aj])
-            add([-d, -bi])
-            add([-d, -bj])
-            self._seps[(i, j)].append(d)
-            g = solver.new_var()
-            for combo in _INCONSISTENT_COMBOS:
-                clause = [g]
-                for var, bit in zip((ai, bi, aj, bj), combo):
-                    clause.append(-var if bit else var)
-                add(clause)
-            self._disagrees[(i, j)].append(g)
+        for pair in self.conflict_pairs:
+            self._dist[pair].append(separator(*pair))
+        for pair in self.match_pairs:
+            self._seps[pair].append(separator(*pair))
+            i, j = pair
+            ai, bi, aj, bj = a[i][k], b[i][k], a[j][k], b[j][k]
+            g = next(fresh)
+            clauses += (
+                [g, sa * ai, sb * bi, sc * aj, sd * bj]
+                for sa, sb, sc, sd in _INCONSISTENT_SIGNS
+            )
+            self._disagrees[pair].append(g)
 
         for source, out_edges in self._output_edges.items():
             column_terms = []
+            au, bu = a[source][k], b[source][k]
             for output, target in out_edges:
-                au, bu = a[source][k], b[source][k]
                 av, bv = a[target][k], b[target][k]
-                up_one = solver.new_var()
-                add([-up_one, -au])
-                add([-up_one, bu])
-                add([-up_one, av])
-                add([-up_one, -bv])
-                add([up_one, au, -bu, -av, bv])
-                down_zero = solver.new_var()
-                add([-down_zero, au])
-                add([-down_zero, bu])
-                add([-down_zero, -av])
-                add([-down_zero, -bv])
-                add([down_zero, -au, -bu, av, bv])
+                up_one = next(fresh)
+                down_zero = next(fresh)
+                clauses += (
+                    [-up_one, -au],
+                    [-up_one, bu],
+                    [-up_one, av],
+                    [-up_one, -bv],
+                    [up_one, au, -bu, -av, bv],
+                    [-down_zero, au],
+                    [-down_zero, bu],
+                    [-down_zero, -av],
+                    [-down_zero, -bv],
+                    [down_zero, -au, -bu, av, bv],
+                )
                 self._terms[(source, output, k)] = (up_one, down_zero)
-                column_terms.extend((up_one, down_zero))
+                column_terms += (up_one, down_zero)
             # Chain link: F^k <-> F^(k-1) or (this column's terms).
             chain = self._chains[source]
-            flag = solver.new_var()
-            tail = [chain[-1]] if chain else []
-            for term in tail + column_terms:
-                add([-term, flag])
-            add([-flag] + tail + column_terms)
+            flag = next(fresh)
+            links = chain[-1:] + column_terms
+            clauses += ([-term, flag] for term in links)
+            clauses.append([-flag] + links)
             chain.append(flag)
 
         for source, label, target in self._edges:
             fired = label[0]
-            source_excited = self.graph.excitation(source)
-            for output in self.graph.excitation(target):
+            source_excited = graph.excitation(source)
+            for output in graph.excitation(target):
                 if output == fired or output not in source_excited:
                     continue
                 down_terms = self._terms.get((target, output, k))
@@ -679,38 +697,37 @@ class IncrementalCscFormula:
                     continue
                 t_up, t_down = down_terms
                 u_up, u_down = up_terms
-                add([-t_up, u_up, u_down])
-                add([-t_down, u_up, u_down])
+                clauses += ([-t_up, u_up, u_down], [-t_down, u_up, u_down])
 
+        solver.add_vars(next(fresh) - 1 - solver.num_vars)
+        solver.add_clauses(clauses)
         self.m = k + 1
 
     def _add_activation(self, m):
         """Add the per-``m`` clause family under a fresh ``act_m``."""
         if self.m < m:
             raise ValueError(f"cannot activate m={m} with {self.m} columns")
-        solver = self.solver
-        act = solver.new_var()
+        act = self.solver.new_var()
         inactive = -act
-        for pair in self.conflict_pairs:
-            solver.add_clause([inactive] + self._dist[pair][:m])
+        clauses = [
+            [inactive] + self._dist[pair][:m] for pair in self.conflict_pairs
+        ]
         for pair in self.match_pairs:
-            separators = self._seps[pair][:m]
-            for g in self._disagrees[pair][:m]:
-                solver.add_clause([inactive] + separators + [-g])
+            separators = [inactive] + self._seps[pair][:m]
+            clauses += (separators + [-g] for g in self._disagrees[pair][:m])
             i, j = pair
             chain_i = self._chains.get(i)
             chain_j = self._chains.get(j)
             flag_i = chain_i[m - 1] if chain_i else None
             flag_j = chain_j[m - 1] if chain_j else None
             if flag_i is not None and flag_j is not None:
-                solver.add_clause(
-                    [inactive] + separators + [-flag_i, flag_j]
-                )
-                solver.add_clause(
-                    [inactive] + separators + [flag_i, -flag_j]
+                clauses += (
+                    separators + [-flag_i, flag_j],
+                    separators + [flag_i, -flag_j],
                 )
             elif flag_i is not None:
-                solver.add_clause([inactive] + separators + [-flag_i])
+                clauses.append(separators + [-flag_i])
             elif flag_j is not None:
-                solver.add_clause([inactive] + separators + [-flag_j])
+                clauses.append(separators + [-flag_j])
+        self.solver.add_clauses(clauses)
         self._acts[m] = act

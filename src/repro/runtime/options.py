@@ -24,8 +24,9 @@ Fields whose natural default differs per method (``signal_prefix`` is
 ``None``, meaning "the method's default".  This module is a dependency
 leaf like the rest of :mod:`repro.runtime`'s core: it imports nothing
 from the synthesis layers at load time, so they can all import it then;
-the engine tuple it validates against is read from :mod:`repro.sat`
-when an options value is built.
+the engine and SAT-mode tuples it validates against are read from
+:mod:`repro.sat`, and the verify levels from
+:mod:`repro.verify.checker`, when an options value is built.
 """
 
 from __future__ import annotations
@@ -111,7 +112,9 @@ class SynthesisOptions:
     verify_level: str = "csc"
 
     def __post_init__(self):
-        from repro.sat import ENGINES  # imported late: see module doc
+        # Imported late: see the module docstring.
+        from repro.sat import ENGINES, SAT_MODES
+        from repro.verify.checker import VERIFY_LEVELS
 
         if self.output_order is not None:
             object.__setattr__(
@@ -121,15 +124,15 @@ class SynthesisOptions:
             raise ValueError(
                 f"engine must be one of {ENGINES}, not {self.engine!r}"
             )
-        if self.sat_mode not in ("incremental", "oneshot"):
+        if self.sat_mode not in SAT_MODES:
             raise ValueError(
-                f"sat_mode must be 'incremental' or 'oneshot', "
+                f"sat_mode must be one of {SAT_MODES}, "
                 f"not {self.sat_mode!r}"
             )
-        if self.verify_level not in ("csc", "conformance", "hazards"):
+        if self.verify_level not in VERIFY_LEVELS:
             raise ValueError(
-                f"verify_level must be 'csc', 'conformance' or "
-                f"'hazards', not {self.verify_level!r}"
+                f"verify_level must be one of {VERIFY_LEVELS}, "
+                f"not {self.verify_level!r}"
             )
         if self.cache_max_bytes is not None and self.cache_max_bytes < 0:
             raise ValueError(

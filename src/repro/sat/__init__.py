@@ -38,9 +38,15 @@ from repro.sat.solver import (
 #: API and the command line all validate against this tuple.
 ENGINES = ("hybrid", "dpll", "cdcl", "bdd")
 
+#: The SAT modes of a grow-``m`` loop (see ``SynthesisOptions.sat_mode``);
+#: options, the request API and the command line validate against this.
+SAT_MODES = ("incremental", "oneshot")
 
-#: Budget for the DPLL pass of the hybrid engine.
-_HYBRID_DPLL_LIMITS = Limits(max_backtracks=50_000, max_seconds=2.0)
+
+#: Budget for the DPLL pass of the hybrid engine.  It is counted in
+#: backtracks only, so which engine decides a formula does not depend
+#: on machine speed; a caller's ``limits`` still clip it.
+_HYBRID_DPLL_LIMITS = Limits(max_backtracks=50_000)
 
 #: Budget multipliers for the ladder's enlarged CDCL retry.
 _LADDER_BACKTRACK_FACTOR = 4
@@ -189,6 +195,7 @@ __all__ = [
     "LIMIT",
     "Limits",
     "SAT",
+    "SAT_MODES",
     "SolveResult",
     "UNSAT",
     "solve",

@@ -57,6 +57,45 @@ class TestSynthesisOptions:
         for engine in ENGINES:
             assert SynthesisOptions(engine=engine).engine == engine
 
+    def test_vocabularies_are_one_tuple_each(self, monkeypatch):
+        # SAT modes live in repro.sat and verify levels in the checker;
+        # the options, the request API and the CLI parser accept exactly
+        # those values.
+        import argparse
+
+        from repro import api
+        from repro.__main__ import main
+        from repro.sat import SAT_MODES
+        from repro.verify.checker import VERIFY_LEVELS
+
+        assert api.VERIFY_LEVELS is VERIFY_LEVELS
+        for field, values in (("sat_mode", SAT_MODES),
+                              ("verify_level", VERIFY_LEVELS)):
+            for value in values:
+                assert getattr(
+                    SynthesisOptions(**{field: value}), field
+                ) == value
+                assert getattr(
+                    api.SynthesisRequest("x", **{field: value}), field
+                ) == value
+            with pytest.raises(ValueError, match=field):
+                SynthesisOptions(**{field: "other"})
+            with pytest.raises(api.ApiError, match=field):
+                api.SynthesisRequest("x", **{field: "other"})
+
+        choices = {}
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def spy(parser, *names, **kwargs):
+            choices[names[0]] = kwargs.get("choices")
+            return add_argument(parser, *names, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert choices["--sat-mode"] is SAT_MODES
+        assert choices["--verify-level"] is VERIFY_LEVELS
+
     def test_robustness_knob_defaults(self):
         options = SynthesisOptions()
         assert options.cache_max_bytes is None

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.sat import LIMIT, Cnf, Limits, solve_bdd, solve_with
+from repro.sat import LIMIT, UNSAT, Cnf, Limits, solve_bdd, solve_with
 from repro.sat.bdd_engine import nodes_for_limits, DEFAULT_MAX_NODES
 
 
@@ -101,6 +101,27 @@ def test_fallback_ladder_runs_each_rung_once(monkeypatch, engine):
     assert result.status == LIMIT
     assert result.escalations == trail
     assert runs == expected_runs
+
+
+def test_hybrid_dpll_pass_is_not_wall_clock_bound(monkeypatch):
+    # On a machine slow enough to read a huge elapsed time, the hybrid
+    # engine's DPLL pass must still run to its backtrack cap: which
+    # engine decides a formula may not depend on machine speed.
+    import repro.sat
+    from repro.obs import Stopwatch
+
+    class SlowMachine(Stopwatch):
+        def elapsed(self):
+            return 1e9
+
+    def no_rescue(cnf, limits):
+        raise AssertionError("the DPLL pass handed the formula to CDCL")
+
+    monkeypatch.setattr("repro.sat.solver.Stopwatch", SlowMachine)
+    monkeypatch.setattr(repro.sat, "_oneshot_cdcl", no_rescue)
+    result = solve_with(pigeonhole(2), None, engine="hybrid")
+    assert result.status == UNSAT
+    assert result.metrics["backtracks"] > 0
 
 
 def test_bdd_engine_maps_backtracks_onto_nodes():

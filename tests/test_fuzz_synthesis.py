@@ -30,10 +30,6 @@ from repro.verify import verify_result
 
 from tests.example_stgs import choice_controller, controller, well_formed
 
-# Kept as the historical import surface: the differential suite used to
-# import the strategy helpers from this module.
-_well_formed = well_formed
-
 
 @settings(
     max_examples=10,
